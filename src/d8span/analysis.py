@@ -16,8 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .builder import ConstructionError, EdgeSelection
-from .delaunay import Triangulation, canonical_subgraph, cone_neighbourhood, edge_key
+from .builder import ConstructionError, EdgeSelection, e_a_occupant
+from .delaunay import Triangulation, canonical_subgraph, edge_key
 from .geometry import (
     PointSet,
     bisector_distance,
@@ -245,14 +245,6 @@ class WitnessPath:
     trace: list[str] = field(default_factory=list)
 
 
-def _e_a_occupant(T, sel, v: int, cone: int) -> Optional[int]:
-    ps = T.points
-    for w in T.ring(v):
-        if edge_key(v, w) in sel.e_a and cone_index(ps[v], ps[w]) == cone:
-            return w
-    return None
-
-
 def _walk(T, sel, can, a: int, b: int) -> list[int]:
     """Vertices from a to b along the canonical subgraph, asserting every
     step is a selected edge."""
@@ -298,10 +290,10 @@ def witness_path(
         return WitnessPath(p, q, [p, q], euclid(ps[p], ps[q]), ["direct"])
     i = cone_index(ps[p], ps[q])
     lpq = bisector_distance(ps[p], ps[q])
-    r = _e_a_occupant(T, sel, p, i)
+    r = e_a_occupant(T, sel.e_a, p, i)
     if r is not None and bisector_distance(ps[p], ps[r]) <= lpq * (1 + BOUND_RTOL):
         return _witness_from(T, sel, p, q, r, i, _depth)
-    u = _e_a_occupant(T, sel, q, (i + 3) % 6)
+    u = e_a_occupant(T, sel.e_a, q, (i + 3) % 6)
     if u is not None and bisector_distance(ps[q], ps[u]) <= lpq * (1 + BOUND_RTOL):
         w = _witness_from(T, sel, q, p, u, (i + 3) % 6, _depth)
         return WitnessPath(
@@ -351,7 +343,7 @@ def _witness_from(T, sel, p, q, r, i, depth) -> WitnessPath:
         return WitnessPath(p, q, verts, _path_length(ps, verts), [f"ideal-end({rel})"])
     inner = 4 if last else 2
     if rel == inner:
-        u2 = _e_a_occupant(T, sel, q, j)
+        u2 = e_a_occupant(T, sel.e_a, q, j)
         if u2 is None or u2 == y:
             raise ConstructionError(
                 f"extremal edge ({y},{q}) unselected with no competing "
@@ -408,9 +400,9 @@ def _angle(ps, a: int, x: int, b: int) -> float:
     return abs(math.atan2(cross, dot))
 
 
-def _oriented_e_a(sel, T=None):
+def _oriented_e_a(sel, T):
     for u, v in sel.e_a:
-        if T is not None and not T.is_edge(u, v):
+        if not T.is_edge(u, v):
             continue  # non-DT edge; the subgraph audit reports it
         yield u, v
         yield v, u
@@ -438,7 +430,7 @@ def audit_wedge_angles(T, sel=None) -> AuditVerdict:
     limit = 2 * math.pi / 3 - 1e-9
     for p in range(len(ps)):
         for i in range(6):
-            members = cone_neighbourhood(T, p, i).vertices
+            members = T.cone(p, i)
             m = len(members)
             for a in range(m - 2):
                 for x in range(a + 1, m - 1):
@@ -494,15 +486,6 @@ def audit_shared_triangles(T, sel=None) -> AuditVerdict:
     return AuditVerdict("shared_triangle", True)
 
 
-def _d8_edges_at_in_cone(T, sel, v: int, cone: int):
-    ps = T.points
-    return [
-        w
-        for w in T.ring(v)
-        if sel.has_d8_edge(v, w) and cone_index(ps[v], ps[w]) == cone
-    ]
-
-
 def audit_anchor_cones(T, sel) -> AuditVerdict:
     """For a selected edge (p, r): when r is an inner anchor, the two cones
     of r flanking the one facing p are free of selected edges; when r is an
@@ -510,12 +493,9 @@ def audit_anchor_cones(T, sel) -> AuditVerdict:
     for p, r in _oriented_e_a(sel, T):
         can = canonical_subgraph(T, p, r)
         i = can.cone
-        left = _d8_edges_at_in_cone(T, sel, r, (i + 2) % 6)
-        right = _d8_edges_at_in_cone(T, sel, r, (i + 4) % 6)
-        if can.roles.get(r) == "anchor" and r not in (
-            can.first_vertex,
-            can.last_vertex,
-        ):
+        left = [w for w in T.cone(r, (i + 2) % 6) if sel.has_d8_edge(r, w)]
+        right = [w for w in T.cone(r, (i + 4) % 6) if sel.has_d8_edge(r, w)]
+        if r not in (can.first_vertex, can.last_vertex):
             if left or right:
                 return AuditVerdict(
                     "anchor_cones",
@@ -562,11 +542,7 @@ def audit_charged_cones(T, sel) -> AuditVerdict:
             if prov.step != "4b":
                 continue
             z, cone = prov.end_vertex, prov.cone
-            occupied = [
-                w
-                for w in _d8_edges_at_in_cone(T, sel, z, cone)
-                if edge_key(z, w) in sel.e_a
-            ]
+            occupied = [w for w in T.cone(z, cone) if edge_key(z, w) in sel.e_a]
             if occupied:
                 return AuditVerdict(
                     "charged_cones",

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from .delaunay import (
     CanonicalSubgraph,
+    ConstructionError,
     Triangulation,
     build_dt,
     canonical_subgraph,
@@ -14,11 +15,6 @@ from .delaunay import (
     edge_key,
 )
 from .geometry import PointSet, bisector_distance, cone_index
-
-
-class ConstructionError(RuntimeError):
-    """A structural invariant of the construction failed; carries the local
-    configuration for diagnosis."""
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,11 @@ class EdgeSelection:
         return edge_key(u, v) in self.e_a or edge_key(u, v) in self.e_can
 
 
-def _e_a_edge_in_cone(T, e_a, v: int, cone: int) -> int | None:
-    """The endpoint of the unique selected incident edge leaving v into the
-    given cone, if any."""
-    ps = T.points
-    for w in T.ring(v):
-        if edge_key(v, w) in e_a and cone_index(ps[v], ps[w]) == cone:
+def e_a_occupant(T: Triangulation, e_a, v: int, cone: int) -> int | None:
+    """The far end of the selected incident edge leaving v into the given
+    cone, if any; the first one clockwise should there be several."""
+    for w in T.cone(v, cone):
+        if edge_key(v, w) in e_a:
             return w
     return None
 
@@ -108,7 +103,6 @@ def add_canonical(
     """
     if edge_key(p, r) not in e_a:
         raise ValueError(f"({p},{r}) not in the selected incident set")
-    ps = T.points
     can = canonical_subgraph(T, p, r)
     i = can.cone
     out: list[tuple[tuple[int, int], Provenance]] = []
@@ -155,7 +149,7 @@ def _process_extremal(T, e_a, can: CanonicalSubgraph, i: int, *, last: bool, out
     if j == outer:
         out.append((edge_key(y, z), prov("4a")))
     elif j == inner:
-        u = _e_a_edge_in_cone(T, e_a, z, inner)
+        u = e_a_occupant(T, e_a, z, inner)
         if u is None:
             out.append((edge_key(y, z), prov("4b")))
         elif u == y:
@@ -175,13 +169,11 @@ def _process_extremal(T, e_a, can: CanonicalSubgraph, i: int, *, last: bool, out
     # added for this end.
 
 
-def construct_d8(
-    ps: PointSet, *, skip_checks: bool = False
-) -> tuple[Triangulation, EdgeSelection]:
+def construct_d8(ps: PointSet) -> tuple[Triangulation, EdgeSelection]:
     """Full construction: triangulation, sorted edge list, greedy incident
     selection, then canonical completion from both endpoints of every
     selected edge in sorted order."""
-    T = build_dt(ps, skip_checks=skip_checks)
+    T = build_dt(ps)
     L = sort_edges(T)
     e_a = add_incident(T, L)
     e_can: set[tuple[int, int]] = set()

@@ -34,8 +34,9 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _parse_edge_file(path: str) -> EdgeSelection:
-    """Edge list with '# E_A' / '# E_CAN' section markers; '<u> <v>' lines."""
+def _parse_edge_file(path: str, n: int) -> EdgeSelection:
+    """Edge list with '# E_A' / '# E_CAN' section markers; '<u> <v>' lines
+    naming vertex ids in [0, n)."""
     e_a: set[tuple[int, int]] = set()
     e_can: set[tuple[int, int]] = set()
     current = e_a
@@ -53,7 +54,10 @@ def _parse_edge_file(path: str) -> EdgeSelection:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected '<u> <v>'")
-        current.add(edge_key(int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{path}:{lineno}: vertex id outside [0, {n})")
+        current.add(edge_key(u, v))
     return EdgeSelection(e_a=frozenset(e_a), e_can=frozenset(e_can))
 
 
@@ -87,7 +91,7 @@ def _cmd_audit(args) -> int:
     ps = load_points(args.infile)
     if args.edges:
         T = build_dt(ps)
-        sel = _parse_edge_file(args.edges)
+        sel = _parse_edge_file(args.edges, len(ps))
     else:
         T, sel = construct_d8(ps)
     report = run_audits(T, sel, debug_crossings=args.debug_crossings)

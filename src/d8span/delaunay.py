@@ -26,9 +26,15 @@ from .geometry import (
     check_general_position,
     circumcircle,
     cone_index,
+    cone_index_dir,
     in_circle,
     orient,
 )
+
+
+class ConstructionError(RuntimeError):
+    """A structural invariant of the construction failed; carries the local
+    configuration for diagnosis."""
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -40,13 +46,34 @@ class Triangulation:
     points: PointSet
     edges: frozenset[tuple[int, int]]
     triangles: tuple[tuple[int, int, int], ...]  # sorted triples
-    _rings: dict[int, tuple[int, ...]] = field(repr=False)
-    _triangle_set: frozenset[tuple[int, int, int]] = field(repr=False)
+    _rings: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _triangle_set: frozenset[tuple[int, int, int]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rings", _build_rings(self.points, self.edges))
+        object.__setattr__(self, "_triangle_set", frozenset(self.triangles))
 
     def ring(self, p: int) -> tuple[int, ...]:
         """Neighbours of p in consecutive clockwise order, starting with the
         smallest clockwise angle from the upward vertical."""
         return self._rings[p]
+
+    def cone(self, p: int, i: int) -> tuple[int, ...]:
+        """Neighbours of p in cone i, in clockwise order.
+
+        The ring starts at the upward vertical, which lies inside cone 0, so
+        only cone 0 wraps around the ring's start: its members left of p
+        come last in the ring and first in the cone."""
+        xs, ys = self.points.xs, self.points.ys
+        px, py = xs[p], ys[p]
+        members = [
+            v for v in self._rings[p] if cone_index_dir(xs[v] - px, ys[v] - py) == i
+        ]
+        if i == 0:
+            members.sort(key=lambda v: xs[v] >= px)
+        return tuple(members)
 
     def is_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
@@ -103,17 +130,6 @@ def _build_rings(ps: PointSet, edges: frozenset[tuple[int, int]]) -> dict:
     return rings
 
 
-def _trivial_triangulation(ps: PointSet) -> Triangulation:
-    edges = frozenset({(0, 1)}) if len(ps) == 2 else frozenset()
-    return Triangulation(
-        points=ps,
-        edges=edges,
-        triangles=(),
-        _rings=_build_rings(ps, edges),
-        _triangle_set=frozenset(),
-    )
-
-
 def _verify_delaunay_triangles(ps: PointSet, triangles) -> None:
     """Exact empty-circle check of every triangle against every point."""
     n = len(ps)
@@ -133,7 +149,7 @@ def _verify_delaunay_triangles(ps: PointSet, triangles) -> None:
                 continue
             s = in_circle(a, b, c, ps[m])
             if s > 0:
-                raise RuntimeError(
+                raise ConstructionError(
                     f"triangle {tri} is not Delaunay: point {m} inside circumcircle"
                 )
             if s == 0:
@@ -142,25 +158,32 @@ def _verify_delaunay_triangles(ps: PointSet, triangles) -> None:
                 )
 
 
-def build_dt(ps: PointSet, *, skip_checks: bool = False) -> Triangulation:
+def build_dt(ps: PointSet) -> Triangulation:
     """Delaunay triangulation of the point set.
 
     Coincident points and cone-boundary slope pairs are rejected up front;
     collinear and cocircular degeneracies surface during construction or
-    during the exact per-triangle verification.  Pass ``skip_checks=True`` to
-    bypass the up-front slope screening.
+    during the exact per-triangle verification.
     """
     n = len(ps)
-    if not skip_checks:
-        report = check_general_position(ps, collinear_limit=0, cocircular_limit=0)
-        if not report.ok:
-            raise GeneralPositionError(report.violations)
+    report = check_general_position(ps, collinear_limit=0, cocircular_limit=0)
+    if not report.ok:
+        raise GeneralPositionError(report.violations)
     if n < 3:
-        return _trivial_triangulation(ps)
+        return triangulation_from_triangles(ps, ())
     try:
         tri = _SciPyDelaunay(ps.coords())
     except QhullError as exc:
-        raise GeneralPositionError([Violation("collinear", tuple(range(n)))]) from exc
+        # Points 0 and 1 are distinct once the slope screen has passed.
+        a, b = ps[0], ps[1]
+        if all(orient(a, b, ps[k]) == 0 for k in range(2, n)):
+            raise GeneralPositionError(
+                [Violation("collinear", tuple(range(n)))]
+            ) from exc
+        reason = str(exc).partition("\n")[0]
+        raise ConstructionError(
+            f"Qhull failed on {n} points that are not all collinear: {reason}"
+        ) from exc
     if tri.coplanar.size:
         ids = tuple(int(i) for i in tri.coplanar[:, 0])
         raise GeneralPositionError([Violation("cocircular", ids)])
@@ -168,40 +191,22 @@ def build_dt(ps: PointSet, *, skip_checks: bool = False) -> Triangulation:
         tuple(sorted(int(v) for v in simplex)) for simplex in tri.simplices
     )
     _verify_delaunay_triangles(ps, triangles)
-    edges = set()
-    for a, b, c in triangles:
-        edges.add((a, b))
-        edges.add((a, c))
-        edges.add((b, c))
-    fedges = frozenset(edges)
-    return Triangulation(
-        points=ps,
-        edges=fedges,
-        triangles=triangles,
-        _rings=_build_rings(ps, fedges),
-        _triangle_set=frozenset(triangles),
-    )
+    return triangulation_from_triangles(ps, triangles)
 
 
 def triangulation_from_triangles(ps: PointSet, triangles) -> Triangulation:
-    """Assemble a Triangulation from an explicit triangle list.
+    """Assemble a Triangulation from an explicit triangle list: its edges are
+    the triangles' sides, plus the one edge of a two-point set.
 
-    No Delaunay property is checked; intended for hand-built fixtures and
-    negative controls."""
+    No Delaunay property is checked here; ``build_dt`` checks before it
+    assembles, and hand-built fixtures and negative controls need not."""
     tris = tuple(tuple(sorted(t)) for t in triangles)
     edges = set()
     for a, b, c in tris:
         edges.update([(a, b), (a, c), (b, c)])
     if len(ps) == 2:
         edges.add((0, 1))
-    fedges = frozenset(edges)
-    return Triangulation(
-        points=ps,
-        edges=fedges,
-        triangles=tris,
-        _rings=_build_rings(ps, fedges),
-        _triangle_set=frozenset(tris),
-    )
+    return Triangulation(ps, frozenset(edges), tris)
 
 
 def dt_oracle(ps: PointSet, *, cap: int = 1000) -> Triangulation:
@@ -215,7 +220,7 @@ def dt_oracle(ps: PointSet, *, cap: int = 1000) -> Triangulation:
     if n > cap:
         raise ValueError(f"dt_oracle cap exceeded: {n} > {cap}")
     if n < 3:
-        return _trivial_triangulation(ps)
+        return triangulation_from_triangles(ps, ())
     xs = np.asarray(ps.xs)
     ys = np.asarray(ps.ys)
     edges = set()
@@ -263,14 +268,7 @@ def dt_oracle(ps: PointSet, *, cap: int = 1000) -> Triangulation:
                     break
             if empty:
                 triangles.append((a, b, c))
-    fedges = frozenset(edges)
-    return Triangulation(
-        points=ps,
-        edges=fedges,
-        triangles=tuple(triangles),
-        _rings=_build_rings(ps, fedges),
-        _triangle_set=frozenset(triangles),
-    )
+    return Triangulation(ps, frozenset(edges), tuple(triangles))
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +284,11 @@ class ConeNeighbourhood:
 
 
 def cone_neighbourhood(T: Triangulation, p: int, i: int) -> ConeNeighbourhood:
-    ps = T.points
-    ring = T.ring(p)
-    pp = ps[p]
-    in_cone = [v for v in ring if cone_index(pp, ps[v]) == i]
-    if len(in_cone) > 1:
-        # All members lie within one 60-degree sector, so the pairwise cross
-        # product is a consistent clockwise comparator.
-        def cmp(u: int, v: int) -> int:
-            return orient(pp, ps[u], ps[v])
-
-        in_cone.sort(key=functools.cmp_to_key(cmp))
+    vertices = T.cone(p, i)
     canon = tuple(
-        (u, v)
-        for u, v in zip(in_cone, in_cone[1:])
-        if T.has_triangle(p, u, v)
+        (u, v) for u, v in zip(vertices, vertices[1:]) if T.has_triangle(p, u, v)
     )
-    return ConeNeighbourhood(apex=p, cone=i, vertices=tuple(in_cone), canonical_edges=canon)
+    return ConeNeighbourhood(apex=p, cone=i, vertices=vertices, canonical_edges=canon)
 
 
 @dataclass(frozen=True)

@@ -182,26 +182,20 @@ def cone_index_dir(dx: float, dy: float) -> int:
     Cone 0 points straight up, numbering proceeds clockwise and each cone
     spans 60 degrees.  The counter-clockwise boundary ray of a cone belongs
     to that cone.  Classification is exact: the cone boundary slopes 0 and
-    +-sqrt(3) reduce to the rational comparison dy^2 vs 3*dx^2.
+    +-sqrt(3) reduce to the rational comparison dy^2 vs 3*dx^2.  Doubles are
+    rational, so dy^2 = 3*dx^2 only holds for dx = dy = 0: no direction lies
+    on a +-sqrt(3) boundary ray.
     """
     if dx == 0.0 and dy == 0.0:
         raise DegeneratePairError("degenerate pair")
     if dy > 0.0:
-        s = _cmp_sq3(dy, dx)
-        if s > 0:
+        if _cmp_sq3(dy, dx) > 0:
             return 0
-        if s == 0:
-            # dy = sqrt(3)|dx|: on the 60 (dx>0) or 120 (dx<0) boundary.
-            return 1 if dx > 0 else 0
         return 1 if dx > 0 else 5
     if dy == 0.0:
         return 2 if dx > 0 else 5
-    s = _cmp_sq3(dy, dx)
-    if s > 0:
+    if _cmp_sq3(dy, dx) > 0:
         return 3
-    if s == 0:
-        # dy = -sqrt(3)|dx|: on the -60 (dx>0) or -120 (dx<0) boundary.
-        return 3 if dx > 0 else 4
     return 2 if dx > 0 else 4
 
 
@@ -310,14 +304,6 @@ def _slope_violations(ps: PointSet) -> list[Violation]:
         horiz = np.flatnonzero((dy == 0.0) & (dx != 0.0))
         for k in horiz:
             out.append(Violation("slope", (i, i + 1 + int(k))))
-        # Candidate +-sqrt(3) slopes: near-zero dy^2 - 3 dx^2, confirm exactly.
-        lhs = dy * dy
-        rhs = 3.0 * dx * dx
-        near = np.flatnonzero(np.abs(lhs - rhs) <= 1e-9 * np.maximum(lhs, rhs))
-        for k in near:
-            j = i + 1 + int(k)
-            if _cmp_sq3(ps.ys[j] - ps.ys[i], ps.xs[j] - ps.xs[i]) == 0:
-                out.append(Violation("slope", (i, j)))
     return out
 
 
@@ -403,8 +389,10 @@ def check_general_position(
 ) -> GeneralPositionReport:
     """Report every general-position violation in the set.
 
-    Coincident points and pairs aligned at slope 0 or +-sqrt(3) (the cone
-    boundary slopes) are always checked exactly.  Exhaustive collinearity and
+    Coincident points and pairs aligned at slope 0 (a cone boundary slope)
+    are always checked exactly.  The other boundary slopes, +-sqrt(3), need
+    no check: they are irrational, so no two distinct points with double
+    coordinates are aligned at them.  Exhaustive collinearity and
     cocircularity checks are cubic/quartic and only run up to the given size
     limits; beyond them the report flags the check as skipped and degeneracies
     are instead caught lazily by the exact predicates during triangulation.

@@ -1,10 +1,14 @@
 import math
 
 import pytest
+from scipy.spatial import QhullError
 
 from conftest import random_points
+from d8span import builder, delaunay
 from d8span.builder import add_incident, construct_d8, sort_edges
 from d8span.delaunay import (
+    ConstructionError,
+    _verify_delaunay_triangles,
     build_dt,
     canonical_subgraph,
     cone_neighbourhood,
@@ -47,6 +51,28 @@ def test_collinear_input_rejected():
 def test_slope_zero_rejected_up_front():
     with pytest.raises(GeneralPositionError):
         build_dt(PointSet.from_pairs([(0, 0), (5, 0), (2, 3)]))
+
+
+def test_non_delaunay_triangles_raise_construction_error():
+    # a convex kite split along its long diagonal (0, 2): vertex 3 lies
+    # inside the circumcircle of (0, 1, 2); the short diagonal is Delaunay
+    ps = PointSet.from_pairs([(0, 0), (2, -1), (4, 0.5), (2, 1)])
+    _verify_delaunay_triangles(ps, [(0, 1, 3), (1, 2, 3)])
+    with pytest.raises(ConstructionError, match="is not Delaunay"):
+        _verify_delaunay_triangles(ps, [(0, 1, 2), (0, 2, 3)])
+    assert builder.ConstructionError is ConstructionError
+
+
+def test_qhull_failure_on_non_collinear_set(monkeypatch):
+    # a Qhull failure is reported as collinear only when it is
+    def fail(coords):
+        raise QhullError("QH6154 Qhull precision error: Initial simplex is flat")
+
+    monkeypatch.setattr(delaunay, "_SciPyDelaunay", fail)
+    with pytest.raises(ConstructionError, match="not all collinear"):
+        build_dt(random_points(3, 20))
+    with pytest.raises(GeneralPositionError, match="collinear"):
+        build_dt(PointSet.from_pairs([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
 
 def test_square_plus_center():
@@ -103,7 +129,9 @@ def test_cone_neighbourhoods_partition_ring():
                 nb = cone_neighbourhood(T, p, i)
                 assert all(cone_index(ps[p], ps[v]) == i for v in nb.vertices)
                 seen.extend(nb.vertices)
-            assert sorted(seen) == sorted(T.ring(p))
+            # cones 0..5 in turn walk the whole ring clockwise once
+            ring = list(T.ring(p))
+            assert any(seen == ring[k:] + ring[:k] for k in range(len(ring)))
 
 
 def test_cone_neighbourhood_consecutive_edges():

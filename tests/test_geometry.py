@@ -231,7 +231,7 @@ def test_gp_collinear_triple():
 
 def test_gp_coincident():
     r = check_general_position(PointSet.from_pairs([(1, 2), (1, 2)]))
-    assert any(v.kind == "coincident" for v in r.violations)
+    assert [v.kind for v in r.violations] == ["coincident"]
 
 
 def test_gp_cocircular_quadruple():
@@ -242,7 +242,8 @@ def test_gp_cocircular_quadruple():
 
 
 def test_gp_sqrt3_slope_not_representable_but_checked():
-    # rational coordinates can never satisfy dy^2 = 3 dx^2 with dx != 0,
-    # so only dx == 0 pairs are immune; a clean set passes
+    # doubles are rational, and sqrt(3) is not, so dy^2 = 3 dx^2 has no
+    # solution with dx != 0: no pair lies on a +-sqrt(3) cone boundary and
+    # the screen need not look for one; a clean set passes
     r = check_general_position(PointSet.from_pairs([(0, 0), (1, 3), (5, 2)]))
     assert r.ok

@@ -216,6 +216,16 @@ def test_cli_audit_corrupted_edges_exits_1(tmp_path):
     assert doc["ok"] is False
 
 
+@pytest.mark.parametrize("edge", ["0 99", "-1 5"])
+def test_cli_audit_edge_id_out_of_range_exits_2(tmp_path, capsys, edge):
+    pts = tmp_path / "pts.txt"
+    assert main(["generate", "--n", "30", "--seed", "1", "--out", str(pts)]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# E_A\n{edge}\n")
+    assert main(["audit", "--in", str(pts), "--edges", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert main(["build", "--in", str(tmp_path / "nope.txt")]) == 2
 
