@@ -81,20 +81,6 @@ class Triangulation:
     def has_triangle(self, a: int, b: int, c: int) -> bool:
         return tuple(sorted((a, b, c))) in self._triangle_set
 
-    def is_canonical_edge(self, p: int, u: int, v: int) -> bool:
-        """True if (u, v) is an edge between consecutive neighbours of p that
-        are actually adjacent in the triangulation."""
-        ring = self._rings[p]
-        d = len(ring)
-        if d < 2:
-            return False
-        iu = ring.index(u) if u in ring else -1
-        if iu < 0 or v not in ring:
-            return False
-        if ring[(iu + 1) % d] != v and ring[(iu - 1) % d] != v:
-            return False
-        return self.has_triangle(p, u, v)
-
 
 def _cw_from_north_cmp(ps: PointSet, p: int):
     """Comparator ordering neighbour ids clockwise starting from the upward
@@ -161,12 +147,15 @@ def _verify_delaunay_triangles(ps: PointSet, triangles) -> None:
 def build_dt(ps: PointSet) -> Triangulation:
     """Delaunay triangulation of the point set.
 
-    Coincident points and cone-boundary slope pairs are rejected up front;
-    collinear and cocircular degeneracies surface during construction or
-    during the exact per-triangle verification.
+    Coincident points and slope-0 pairs are rejected up front by
+    ``check_general_position``.  The two degeneracies that leave no unique
+    Delaunay triangulation are rejected exactly afterwards: a set that is
+    all collinear when Qhull fails, and four points on an empty circle in
+    the exact per-triangle verification.  Collinear triples, and cocircular
+    points with a point inside their circle, are accepted.
     """
     n = len(ps)
-    report = check_general_position(ps, collinear_limit=0, cocircular_limit=0)
+    report = check_general_position(ps)
     if not report.ok:
         raise GeneralPositionError(report.violations)
     if n < 3:

@@ -273,8 +273,6 @@ class Violation:
 @dataclass
 class GeneralPositionReport:
     violations: list[Violation] = field(default_factory=list)
-    collinear_checked: bool = True
-    cocircular_checked: bool = True
 
     @property
     def ok(self) -> bool:
@@ -290,122 +288,30 @@ class GeneralPositionError(ValueError):
         self.violations = violations
 
 
-def _slope_violations(ps: PointSet) -> list[Violation]:
-    xs = np.asarray(ps.xs)
-    ys = np.asarray(ps.ys)
-    out: list[Violation] = []
-    n = len(ps)
-    for i in range(n - 1):
-        dx = xs[i + 1 :] - xs[i]
-        dy = ys[i + 1 :] - ys[i]
-        coincident = np.flatnonzero((dx == 0.0) & (dy == 0.0))
-        for k in coincident:
-            out.append(Violation("coincident", (i, i + 1 + int(k))))
-        horiz = np.flatnonzero((dy == 0.0) & (dx != 0.0))
-        for k in horiz:
-            out.append(Violation("slope", (i, i + 1 + int(k))))
-    return out
+def check_general_position(ps: PointSet) -> GeneralPositionReport:
+    """Screen the set for coincident points and pairs at slope 0.
 
+    These are the degeneracies no later step catches: the construction needs
+    distinct points with no two on a cone-boundary slope.  Of those slopes
+    only 0 needs a check: +-sqrt(3) is irrational, so no two distinct points
+    with double coordinates are aligned at it.  Sorting the ids on (y, x, id)
+    puts each run of equal y together, in (x, id) order; each pair of
+    consecutive members of a run is reported, ``coincident`` where x is equal
+    too and ``slope`` otherwise, so a run of k points gives k - 1 violations
+    and the report is O(n log n) for any input.
 
-def _collinear_violations(ps: PointSet) -> list[Violation]:
-    xs = np.asarray(ps.xs)
-    ys = np.asarray(ps.ys)
-    n = len(ps)
-    out: list[Violation] = []
-    for i in range(n - 2):
-        vx = xs[i + 1 :] - xs[i]
-        vy = ys[i + 1 :] - ys[i]
-        cross = vx[:, None] * vy[None, :] - vy[:, None] * vx[None, :]
-        scale = np.abs(vx[:, None] * vy[None, :]) + np.abs(vy[:, None] * vx[None, :])
-        jj, kk = np.nonzero(np.abs(cross) <= 1e-9 * scale + 1e-300)
-        for j0, k0 in zip(jj, kk):
-            if j0 >= k0:
-                continue
-            j = i + 1 + int(j0)
-            k = i + 1 + int(k0)
-            if orient(ps[i], ps[j], ps[k]) == 0:
-                out.append(Violation("collinear", (i, j, k)))
-    return out
-
-
-def _cocircular_violations(ps: PointSet) -> list[Violation]:
-    """All cocircular quadruples: vectorized float circumcircles over every
-    triple as a prefilter, exact in-circle confirmation of near hits."""
-    n = len(ps)
-    if n < 4:
-        return []
-    import itertools
-
-    xs = np.asarray(ps.xs)
-    ys = np.asarray(ps.ys)
-    triples = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), 3)),
-        dtype=np.intp,
-    ).reshape(-1, 3)
-    ax, ay = xs[triples[:, 0]] - xs[triples[:, 2]], ys[triples[:, 0]] - ys[triples[:, 2]]
-    bx, by = xs[triples[:, 1]] - xs[triples[:, 2]], ys[triples[:, 1]] - ys[triples[:, 2]]
-    det = 2.0 * (ax * by - ay * bx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        la = ax * ax + ay * ay
-        lb = bx * bx + by * by
-        cx = xs[triples[:, 2]] + (by * la - ay * lb) / det
-        cy = ys[triples[:, 2]] + (ax * lb - bx * la) / det
-        r2 = (xs[triples[:, 0]] - cx) ** 2 + (ys[triples[:, 0]] - cy) ** 2
-    degenerate = det == 0.0  # collinear triples, reported elsewhere
-    out: list[Violation] = []
-    seen: set[tuple[int, ...]] = set()
-    chunk = max(1, 4_000_000 // max(n, 1))
-    for lo in range(0, len(triples), chunk):
-        hi = min(lo + chunk, len(triples))
-        d2 = (xs[None, :] - cx[lo:hi, None]) ** 2 + (ys[None, :] - cy[lo:hi, None]) ** 2
-        near = np.abs(d2 - r2[lo:hi, None]) <= 1e-6 * np.maximum(r2[lo:hi, None], 1e-300)
-        near[degenerate[lo:hi]] = False
-        rows = np.arange(hi - lo)
-        for col in range(3):
-            near[rows, triples[lo:hi, col]] = False  # the triple itself
-        for t_off, m in zip(*np.nonzero(near)):
-            t = lo + int(t_off)
-            m = int(m)
-            i, j, k = (int(v) for v in triples[t])
-            a, b, c = ps[i], ps[j], ps[k]
-            o = orient(a, b, c)
-            if o == 0:
-                continue  # collinear, reported elsewhere
-            if o < 0:
-                b, c = c, b
-            if in_circle(a, b, c, ps[m]) == 0:
-                key = tuple(sorted((i, j, k, m)))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(Violation("cocircular", key))
-    return out
-
-
-def check_general_position(
-    ps: PointSet,
-    *,
-    collinear_limit: int = 200,
-    cocircular_limit: int = 200,
-) -> GeneralPositionReport:
-    """Report every general-position violation in the set.
-
-    Coincident points and pairs aligned at slope 0 (a cone boundary slope)
-    are always checked exactly.  The other boundary slopes, +-sqrt(3), need
-    no check: they are irrational, so no two distinct points with double
-    coordinates are aligned at them.  Exhaustive collinearity and
-    cocircularity checks are cubic/quartic and only run up to the given size
-    limits; beyond them the report flags the check as skipped and degeneracies
-    are instead caught lazily by the exact predicates during triangulation.
+    Collinear and cocircular points are not screened: they leave the
+    Delaunay triangulation unique unless the whole set is collinear or four
+    points lie on an empty circle, and ``build_dt`` rejects those two cases
+    exactly.  ``build_dt`` and ``generate`` both run this screen.
     """
-    report = GeneralPositionReport()
-    report.violations.extend(_slope_violations(ps))
-    n = len(ps)
-    if n <= collinear_limit:
-        report.violations.extend(_collinear_violations(ps))
-    else:
-        report.collinear_checked = False
-    if n <= cocircular_limit:
-        report.violations.extend(_cocircular_violations(ps))
-    else:
-        report.cocircular_checked = False
-    return report
+    xs = np.asarray(ps.xs)
+    ys = np.asarray(ps.ys)
+    order = np.lexsort((xs, ys))  # stable, so ties in (y, x) keep id order
+    violations = []
+    for k in np.flatnonzero(ys[order[1:]] == ys[order[:-1]]):
+        a, b = int(order[k]), int(order[k + 1])
+        kind = "coincident" if xs[a] == xs[b] else "slope"
+        violations.append(Violation(kind, (min(a, b), max(a, b))))
+    violations.sort(key=lambda v: v.ids)
+    return GeneralPositionReport(violations)

@@ -20,6 +20,7 @@ from .geometry import GeneralPositionError, PointSet, check_general_position
 log = logging.getLogger(__name__)
 
 DISTRIBUTIONS = ("uniform-square", "gaussian", "annulus")
+MAX_DRAWS = 50
 
 
 def parse_points(text: str) -> PointSet:
@@ -80,16 +81,20 @@ def _sample(rng: np.random.Generator, cfg: RunConfig) -> np.ndarray:
     return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
-def generate(cfg: RunConfig, *, max_retries: int = 50) -> PointSet:
+def generate(cfg: RunConfig) -> PointSet:
     """Deterministic pseudo-random point set in general position.
 
-    Degenerate draws are rejected and redrawn from the same stream (so the
-    result is still a pure function of the config).  With ``perturbation``
-    set, a degenerate draw is jittered instead of redrawn; every repair is
-    logged since it changes the instance.
+    Each draw is screened with ``check_general_position``, the screen
+    ``build_dt`` runs up front.  Degenerate draws are rejected and redrawn
+    from the same stream (so the result is still a pure function of the
+    config), up to ``MAX_DRAWS`` draws.  With ``perturbation`` set, a
+    degenerate draw is jittered instead of redrawn; every repair is logged
+    since it changes the instance.  Four points on an empty circle pass the
+    screen and are left to ``build_dt``; continuous draws hit them with
+    probability zero.
     """
     rng = np.random.default_rng(cfg.seed)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_DRAWS):
         pts = _sample(rng, cfg)
         ps = PointSet.from_pairs(pts)
         report = check_general_position(ps)

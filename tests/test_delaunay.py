@@ -5,6 +5,7 @@ from scipy.spatial import QhullError
 
 from conftest import random_points
 from d8span import builder, delaunay
+from d8span.analysis import run_audits
 from d8span.builder import add_incident, construct_d8, sort_edges
 from d8span.delaunay import (
     ConstructionError,
@@ -51,6 +52,47 @@ def test_collinear_input_rejected():
 def test_slope_zero_rejected_up_front():
     with pytest.raises(GeneralPositionError):
         build_dt(PointSet.from_pairs([(0, 0), (5, 0), (2, 3)]))
+
+
+def test_horizontal_run_reports_consecutive_pairs():
+    # k points sharing a y give k - 1 violations, not k(k - 1)/2
+    ps = PointSet.from_pairs([(float(x), 0.0) for x in range(3000)])
+    with pytest.raises(GeneralPositionError) as err:
+        build_dt(ps)
+    vs = err.value.violations
+    assert len(vs) == 2999
+    assert {v.kind for v in vs} == {"slope"}
+    assert [v.ids for v in vs] == [(i, i + 1) for i in range(2999)]
+
+
+def test_empty_circle_quadruple_rejected():
+    # Qhull splits the square-like quadruple into two triangles without
+    # reporting a coplanar point; the exact verification rejects it
+    ps = PointSet.from_pairs([(3, 4), (4, 3), (-3, -4), (0, 5)])
+    with pytest.raises(GeneralPositionError) as err:
+        build_dt(ps)
+    assert [str(v) for v in err.value.violations] == ["cocircular(0, 1, 2, 3)"]
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # collinear triple on the hull
+        [(0, 0), (1, 1), (2, 2), (0.3, 1.7)],
+        # collinear triple inside the hull
+        [(-1, 0), (5, 0.5), (4, 6), (-0.5, 5.5), (1, 1), (2, 2), (3, 3)],
+        # four collinear hull points
+        [(0, 0), (1, 1), (2, 2), (3, 3), (0.5, 2.7)],
+        # cocircular quadruple with a point inside its circle
+        [(3, 4), (4, 3), (-3, -4), (0, 5), (0.1, 0.3)],
+    ],
+    ids=["hull-collinear", "interior-collinear", "four-collinear-hull", "cocircular-filled"],
+)
+def test_unscreened_degeneracies_build_and_audit(pts):
+    # collinear and non-empty cocircular sets leave the Delaunay
+    # triangulation unique: the construction and every audit hold on them
+    T, sel = construct_d8(PointSet.from_pairs(pts))
+    assert run_audits(T, sel).ok
 
 
 def test_non_delaunay_triangles_raise_construction_error():
@@ -155,28 +197,30 @@ def test_cone_neighbourhood_single_vertex_no_edges():
 
 def test_hull_gap_is_not_a_canonical_edge():
     # the wheel does not close around hull vertices: the two extreme ring
-    # neighbours of a hull vertex are not joined through the outside
-    ps = random_points(8, 20)
-    T = build_dt(ps)
-    hull_edges = set()
-    for tri_edge in T.edges:
-        count = sum(
-            1
-            for tri in T.triangles
-            if tri_edge[0] in tri and tri_edge[1] in tri
-        )
-        if count == 1:
-            hull_edges.add(tri_edge)
-    assert hull_edges  # the hull exists
-    # pick a hull vertex and check no canonical edge joins its ring ends
-    u, v = next(iter(hull_edges))
-    for p in (u, v):
-        ring = T.ring(p)
-        if len(ring) < 3:
-            continue
-        assert not T.is_canonical_edge(p, ring[-1], ring[0]) or T.has_triangle(
-            p, ring[-1], ring[0]
-        )
+    # neighbours of a hull vertex are not joined through the outside, even
+    # when they are consecutive in one cone.  Here p = 0 has an outer-face
+    # gap of about 22 degrees between 5 and 1, both in cone 0.
+    pts = [(0, 0), (0.2, 1), (1, 0.1), (0.1, -1), (-1, -0.1), (-0.2, 1.01)]
+    T = triangulation_from_triangles(
+        PointSet.from_pairs(pts), [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)]
+    )
+    nb = cone_neighbourhood(T, 0, 0)
+    assert nb.vertices == (5, 1)
+    assert nb.canonical_edges == ()
+    # on a Delaunay triangulation: no hull vertex with a third neighbour has
+    # a canonical edge joining its two hull neighbours
+    T = build_dt(random_points(8, 20))
+    for p in range(len(T.points)):
+        canon = [
+            e for i in range(6) for e in cone_neighbourhood(T, p, i).canonical_edges
+        ]
+        hull_nbrs = [
+            v for v in T.ring(p)
+            if sum(p in t and v in t for t in T.triangles) == 1
+        ]
+        if hull_nbrs and len(T.ring(p)) >= 3:
+            a, b = hull_nbrs
+            assert (a, b) not in canon and (b, a) not in canon
 
 
 def test_canonical_subgraph_anchor_only():

@@ -220,25 +220,14 @@ def test_gp_slope_zero_pair():
 
 
 def test_gp_clean_triple():
-    r = check_general_position(PointSet.from_pairs([(0, 0), (1, 2), (2, 5)]))
-    assert r.ok
-
-
-def test_gp_collinear_triple():
-    r = check_general_position(PointSet.from_pairs([(0, 0), (1, 1), (2, 2)]))
-    assert [v.kind for v in r.violations] == ["collinear"]
+    # a collinear triple is not screened: build_dt handles it
+    for pts in ([(0, 0), (1, 2), (2, 5)], [(0, 0), (1, 1), (2, 2)]):
+        assert check_general_position(PointSet.from_pairs(pts)).ok
 
 
 def test_gp_coincident():
     r = check_general_position(PointSet.from_pairs([(1, 2), (1, 2)]))
     assert [v.kind for v in r.violations] == ["coincident"]
-
-
-def test_gp_cocircular_quadruple():
-    pts = [(3, 4), (4, 3), (-3, -4), (0, 5)]  # all on the circle r=5
-    r = check_general_position(PointSet.from_pairs(pts))
-    cocirc = [v for v in r.violations if v.kind == "cocircular"]
-    assert len(cocirc) == 1 and cocirc[0].ids == (0, 1, 2, 3)
 
 
 def test_gp_sqrt3_slope_not_representable_but_checked():
@@ -247,3 +236,43 @@ def test_gp_sqrt3_slope_not_representable_but_checked():
     # the screen need not look for one; a clean set passes
     r = check_general_position(PointSet.from_pairs([(0, 0), (1, 3), (5, 2)]))
     assert r.ok
+
+
+def _pairwise_violations(pts):
+    """Every pair sharing a y, as (ids, kind): the quadratic reference."""
+    out = {}
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            xj, yj = pts[j]
+            if yi == yj:
+                out[(i, j)] = "coincident" if xi == xj else "slope"
+    return out
+
+
+tiny_coord = st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(tiny_coord, tiny_coord), max_size=12))
+def test_gp_matches_pairwise_oracle(pts):
+    oracle = _pairwise_violations(pts)
+    r = check_general_position(PointSet.from_pairs(pts))
+    assert r.ok == (not oracle)
+    reported = [v.ids for v in r.violations]
+    assert reported == sorted(reported)
+    # k points sharing a y give k - 1 pairs
+    assert len(reported) == len(pts) - len({y for _, y in pts})
+    for v in r.violations:
+        assert oracle.get(v.ids) == v.kind
+    # the reported pairs join every equal-y run into one component
+    comp = list(range(len(pts)))
+
+    def find(i):
+        while comp[i] != i:
+            i = comp[i]
+        return i
+
+    for i, j in reported:
+        comp[find(i)] = find(j)
+    for i, j in oracle:
+        assert find(i) == find(j)

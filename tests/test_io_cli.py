@@ -264,7 +264,14 @@ def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == with_env
 
 
-def test_cli_degenerate_input_exits_2(tmp_path):
+def test_cli_degenerate_input_exits_2(tmp_path, capsys):
     pts = tmp_path / "bad.txt"
     pts.write_text("0 0\n1 0\n2 5\n")  # slope-0 pair
     assert main(["build", "--in", str(pts)]) == 2
+    # 3000 points on one horizontal line: a short report, no traceback
+    pts.write_text("".join(f"{x} 0\n" for x in range(3000)))
+    capsys.readouterr()
+    assert main(["build", "--in", str(pts)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: point set violates general position: slope(0, 1)")
+    assert err.count("slope(") == 10
