@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d8span.delaunay import build_dt
 from d8span.geometry import (
     METRIC_RTOL,
     CONE_BISECTORS,
     DegeneratePairError,
+    GeneralPositionError,
     Point,
     PointSet,
     bisector_distance,
@@ -220,9 +222,17 @@ def test_gp_slope_zero_pair():
 
 
 def test_gp_clean_triple():
-    # a collinear triple is not screened: build_dt handles it
-    for pts in ([(0, 0), (1, 2), (2, 5)], [(0, 0), (1, 1), (2, 2)]):
-        assert check_general_position(PointSet.from_pairs(pts)).ok
+    r = check_general_position(PointSet.from_pairs([(0, 0), (1, 2), (2, 5)]))
+    assert r.ok
+
+
+def test_gp_collinear_triple():
+    # a collinear triple is not screened: build_dt rejects it
+    ps = PointSet.from_pairs([(0, 0), (1, 1), (2, 2)])
+    assert check_general_position(ps).ok
+    with pytest.raises(GeneralPositionError) as err:
+        build_dt(ps)
+    assert [v.kind for v in err.value.violations] == ["collinear"]
 
 
 def test_gp_coincident():
