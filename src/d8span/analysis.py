@@ -40,20 +40,23 @@ BOUND_RTOL = 1e-9
 # Shortest paths
 
 
+def _graph(ps: PointSet, edges) -> csr_matrix:
+    """Sparse n x n adjacency over the given edges with Euclidean weights."""
+    n = len(ps)
+    rows, cols, vals = [], [], []
+    for u, v in edges:
+        rows.append(u)
+        cols.append(v)
+        vals.append(euclid(ps[u], ps[v]))
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def distance_matrix(ps: PointSet, edges) -> np.ndarray:
     """All-pairs shortest-path matrix over the given edges with Euclidean
     weights."""
-    n = len(ps)
-    if n == 0:
+    if len(ps) == 0:
         return np.zeros((0, 0))
-    rows, cols, vals = [], [], []
-    for u, v in edges:
-        w = euclid(ps[u], ps[v])
-        rows.append(u)
-        cols.append(v)
-        vals.append(w)
-    m = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return _csgraph_dijkstra(m, directed=False)
+    return _csgraph_dijkstra(_graph(ps, edges), directed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +158,62 @@ def canonical_bound(ps: PointSet, p: int, q: int) -> float:
     return max(pa + PATH_FACTOR * aq, pb + PATH_FACTOR * bq)
 
 
-def stretch_vs_dt(
-    T: Triangulation,
-    sel: EdgeSelection,
-    *,
-    d8_dist: Optional[np.ndarray] = None,
-    dt_dist: Optional[np.ndarray] = None,
-) -> StretchReport:
+#: Cells per block of source rows in ``stretch_vs_dt``: each array of a block
+#: holds about this many (source, target) entries, so memory is O(n).
+_BLOCK_CELLS = 1 << 17
+
+
+def _max_ratio(num: np.ndarray, den: np.ndarray, where: np.ndarray) -> float:
+    """Largest num/den over the cells selected by ``where`` (-inf if none);
+    a zero denominator makes the result NaN."""
+    with np.errstate(invalid="ignore"):
+        ratio = num / np.where(den > 0, den, np.nan)
+    return float(np.max(ratio, where=where, initial=-np.inf))
+
+
+def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
+    """Spanner distances against DT and Euclidean distances: per DT edge and
+    the maxima over all vertex pairs.
+
+    One Dijkstra per source on each graph, streamed in blocks of source rows
+    so that no n x n array is ever held.
+    """
     ps = T.points
     n = len(ps)
-    if d8_dist is None:
-        d8_dist = distance_matrix(ps, sel.d8_edges)
-    if dt_dist is None:
-        dt_dist = distance_matrix(ps, T.edges)
-    connected = n < 2 or bool(np.all(np.isfinite(d8_dist)))
-    if not connected:
-        return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
+    if n < 2:
+        return StretchReport({}, 0.0, 1.0, 1.0, connected=True)
+    g8 = _graph(ps, sel.d8_edges)
+    gdt = _graph(ps, T.edges)
+    coords = ps.coords()
+    xs, ys = coords[:, 0], coords[:, 1]
+    targets: list[list[int]] = [[] for _ in range(n)]
+    for u, v in T.edges:
+        targets[u].append(v)
+    path_length = {}
+    vs_dt = vs_euclid = -math.inf
+    rows = max(1, _BLOCK_CELLS // n)
+    for start in range(0, n, rows):
+        block = np.arange(start, min(start + rows, n))
+        d8 = _csgraph_dijkstra(g8, directed=False, indices=block)
+        if start == 0 and not np.all(np.isfinite(d8[0])):
+            return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
+        dt = _csgraph_dijkstra(gdt, directed=False, indices=block)
+        dx = xs[block, None] - xs[None, :]
+        dy = ys[block, None] - ys[None, :]
+        ed = np.sqrt(dx**2 + dy**2)
+        upper = np.arange(n)[None, :] > block[:, None]
+        # np.maximum, not max(), so that a NaN block result is kept
+        vs_dt = float(np.maximum(vs_dt, _max_ratio(d8, dt, upper)))
+        vs_euclid = float(np.maximum(vs_euclid, _max_ratio(d8, ed, upper)))
+        for r, u in enumerate(block.tolist()):
+            for v in targets[u]:
+                path_length[(u, v)] = float(d8[r, v])
     per_edge = {}
     max_edge_ratio = 1.0 if T.edges else 0.0
     for u, v in T.edges:
         d = euclid(ps[u], ps[v])
         s = EdgeStretch(
-            path_length=float(d8_dist[u, v]),
+            path_length=path_length[(u, v)],
             euclidean=d,
             euclid_bound=STRETCH_BOUND * d,
             canonical_bound=canonical_bound(ps, u, v),
@@ -184,16 +221,6 @@ def stretch_vs_dt(
         per_edge[(u, v)] = s
         if d > 0:
             max_edge_ratio = max(max_edge_ratio, s.path_length / d)
-    if n >= 2:
-        coords = ps.coords()
-        diff = coords[:, None, :] - coords[None, :, :]
-        ed = np.sqrt((diff**2).sum(axis=2))
-        iu = np.triu_indices(n, 1)
-        with np.errstate(invalid="ignore"):
-            vs_dt = float(np.max(d8_dist[iu] / np.where(dt_dist[iu] > 0, dt_dist[iu], np.nan)))
-            vs_euclid = float(np.max(d8_dist[iu] / np.where(ed[iu] > 0, ed[iu], np.nan)))
-    else:
-        vs_dt = vs_euclid = 1.0
     return StretchReport(
         per_dt_edge=per_edge,
         max_edge_ratio=max_edge_ratio,
@@ -204,21 +231,16 @@ def stretch_vs_dt(
 
 
 def edge_bound_check(
-    T: Triangulation,
-    sel: EdgeSelection,
-    p: int,
-    q: int,
-    *,
-    d8_dist: Optional[np.ndarray] = None,
+    T: Triangulation, sel: EdgeSelection, p: int, q: int
 ) -> tuple[float, float, float]:
     """(shortest-path length, canonical-triangle bound, Euclidean bound) for
     one triangulation edge, asserting the bound chain."""
     if not T.is_edge(p, q):
         raise ValueError(f"({p},{q}) is not a triangulation edge")
     ps = T.points
-    if d8_dist is None:
-        d8_dist = distance_matrix(ps, sel.d8_edges)
-    delta = float(d8_dist[p, q])
+    delta = float(
+        _csgraph_dijkstra(_graph(ps, sel.d8_edges), directed=False, indices=p)[q]
+    )
     cb = canonical_bound(ps, p, q)
     eb = STRETCH_BOUND * euclid(ps[p], ps[q])
     if cb > eb * (1 + BOUND_RTOL):

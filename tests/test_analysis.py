@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_points
+from d8span import analysis
 from d8span.analysis import (
     BOUND_RTOL,
     PATH_FACTOR,
@@ -32,6 +34,7 @@ from d8span.delaunay import (
     triangulation_from_triangles,
 )
 from d8span.geometry import PointSet, cone_index, euclid
+from d8span.pointio import RunConfig, generate
 
 
 def test_constants():
@@ -124,6 +127,68 @@ def test_stretch_disconnected_flagged(small_instance):
     empty = EdgeSelection(e_a=frozenset(), e_can=frozenset())
     s = stretch_vs_dt(T, empty)
     assert not s.connected and not s.ok
+
+
+def _dense_stretch(ps, T, sel):
+    """Spanner distance matrix and the two all-pairs maxima, computed from
+    full n x n matrices."""
+    d8 = distance_matrix(ps, sel.d8_edges)
+    dt = distance_matrix(ps, T.edges)
+    coords = ps.coords()
+    diff = coords[:, None, :] - coords[None, :, :]
+    ed = np.sqrt((diff**2).sum(axis=2))
+    iu = np.triu_indices(len(ps), 1)
+    return d8, float(np.max(d8[iu] / dt[iu])), float(np.max(d8[iu] / ed[iu]))
+
+
+# 201 points: one row per block; 7 rows per block with a ragged last block of
+# 5; everything in one block.
+@pytest.mark.parametrize("cells", [1, 7 * 201, 1 << 20], ids=["row", "ragged", "one"])
+def test_streamed_stretch_equals_dense(monkeypatch, cells):
+    ps = generate(RunConfig(n=201, seed=8, distribution="annulus"))
+    T, sel = construct_d8(ps)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+    s = stretch_vs_dt(T, sel)
+    d8, vs_dt, vs_euclid = _dense_stretch(ps, T, sel)
+    assert s.connected
+    assert s.all_pairs_max_ratio_vs_dt == vs_dt
+    assert s.all_pairs_max_ratio_vs_euclid == vs_euclid
+    assert {e: x.path_length for e, x in s.per_dt_edge.items()} == {
+        (u, v): float(d8[u, v]) for u, v in T.edges
+    }
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 20], ids=["row", "one"])
+def test_stretch_isolated_last_vertex_disconnected(monkeypatch, small_instance, cells):
+    ps, T, sel = small_instance
+    last = len(ps) - 1
+    cut = EdgeSelection(
+        e_a=frozenset(e for e in sel.e_a if last not in e),
+        e_can=frozenset(e for e in sel.e_can if last not in e),
+    )
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+    s = stretch_vs_dt(T, cut)
+    assert not s.connected and not s.ok
+
+
+def test_stretch_memory_below_one_dense_matrix():
+    n = 2000
+    T, sel = construct_d8(generate(RunConfig(n=n, seed=3, distribution="annulus")))
+    tracemalloc.start()
+    try:
+        s = stretch_vs_dt(T, sel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.ok
+    assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_edge_bound_check_matches_distance_matrix(small_instance):
+    ps, T, sel = small_instance
+    d8 = distance_matrix(ps, sel.d8_edges)
+    for u, v in T.edges:
+        assert edge_bound_check(T, sel, u, v)[0] == d8[u, v]
 
 
 def test_edge_bound_check_direct_edge(small_instance):
