@@ -23,6 +23,7 @@ from .geometry import (
     bisector_distance,
     canonical_triangle,
     cone_index,
+    cone_indices,
     euclid,
     orient,
 )
@@ -474,30 +475,35 @@ def audit_wedge_angles(T, sel=None) -> AuditVerdict:
     return AuditVerdict("wedge_angle", True)
 
 
-def _triangle_cone_memberships(ps, tri) -> list[int]:
-    """Corners of the triangle whose two other corners lie in one cone."""
-    out = []
-    for k, c in enumerate(tri):
-        o1, o2 = (tri[m] for m in range(3) if m != k)
-        if cone_index(ps[c], ps[o1]) == cone_index(ps[c], ps[o2]):
-            out.append(c)
-    return out
+#: Triangles classified per block in ``audit_shared_triangles``.
+_TRIANGLE_BLOCK = 1 << 13
+# The six half-edges of a sorted triple: corner k to each other corner.
+_CORNER = [0, 0, 1, 1, 2, 2]
+_OTHER = [1, 2, 0, 2, 0, 1]
 
 
 def audit_shared_triangles(T, sel=None) -> AuditVerdict:
     """No triangle lies in the cone neighbourhoods of all three corners, and
     no edge is the base of more than one shared triangle."""
-    ps = T.points
+    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
     base_counts: dict[tuple[int, int], list] = {}
-    for tri in T.triangles:
-        members = _triangle_cone_memberships(ps, tri)
-        if len(members) == 3:
-            return AuditVerdict(
-                "shared_triangle", False, {"triangle": tri, "reason": "three cones"}
-            )
-        if len(members) == 2:
-            base = edge_key(*members)
-            base_counts.setdefault(base, []).append(tri)
+    for start in range(0, len(T.triangles), _TRIANGLE_BLOCK):
+        block = T.triangles[start : start + _TRIANGLE_BLOCK]
+        t = np.array(block, dtype=np.intp)
+        c, o = t[:, _CORNER].ravel(), t[:, _OTHER].ravel()
+        with np.errstate(over="ignore"):
+            cones = cone_indices(xs[o] - xs[c], ys[o] - ys[c]).reshape(-1, 3, 2)
+        # corner k is a member when its two other corners share a cone of it
+        member = cones[:, :, 0] == cones[:, :, 1]
+        for k in np.flatnonzero(member.any(axis=1)).tolist():
+            tri = block[k]
+            members = [tri[j] for j in range(3) if member[k, j]]
+            if len(members) == 3:
+                return AuditVerdict(
+                    "shared_triangle", False, {"triangle": tri, "reason": "three cones"}
+                )
+            if len(members) == 2:
+                base_counts.setdefault(edge_key(*members), []).append(tri)
     for base, tris in base_counts.items():
         if len(tris) > 1:
             return AuditVerdict(

@@ -36,7 +36,7 @@ def _write(path: str | None, text: str) -> None:
 
 def _parse_edge_file(path: str, n: int) -> EdgeSelection:
     """Edge list with '# E_A' / '# E_CAN' section markers; '<u> <v>' lines
-    naming vertex ids in [0, n)."""
+    naming two distinct integer vertex ids in [0, n)."""
     e_a: set[tuple[int, int]] = set()
     e_can: set[tuple[int, int]] = set()
     current = e_a
@@ -54,9 +54,16 @@ def _parse_edge_file(path: str, n: int) -> EdgeSelection:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected '<u> <v>'")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected integer vertex ids: {line!r}"
+            ) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"{path}:{lineno}: vertex id outside [0, {n})")
+        if u == v:
+            raise ValueError(f"{path}:{lineno}: joins vertex {u} to itself: {line!r}")
         current.add(edge_key(u, v))
     return EdgeSelection(e_a=frozenset(e_a), e_can=frozenset(e_can))
 

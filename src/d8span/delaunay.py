@@ -22,11 +22,11 @@ from .geometry import (
     GeneralPositionError,
     PointSet,
     Violation,
-    bisector_distance,
+    bisector_in_cone,
     check_general_position,
     circumcircle,
-    cone_index,
     cone_index_dir,
+    cone_indices,
     in_circle,
     orient,
 )
@@ -46,34 +46,25 @@ class Triangulation:
     points: PointSet
     edges: frozenset[tuple[int, int]]
     triangles: tuple[tuple[int, int, int], ...]  # sorted triples
-    _rings: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # Cone table: the far ends of the 2E oriented edges grouped by (vertex,
+    # cone), clockwise within a group; group 6p + i is
+    # _nbr[_start[6p + i]:_start[6p + i + 1]].
+    _nbr: np.ndarray = field(init=False, repr=False, compare=False)
+    _start: np.ndarray = field(init=False, repr=False, compare=False)
     _triangle_set: frozenset[tuple[int, int, int]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "_rings", _build_rings(self.points, self.edges))
+        nbr, start = _cone_table(self.points, self.edges)
+        object.__setattr__(self, "_nbr", nbr)
+        object.__setattr__(self, "_start", start)
         object.__setattr__(self, "_triangle_set", frozenset(self.triangles))
 
-    def ring(self, p: int) -> tuple[int, ...]:
-        """Neighbours of p in consecutive clockwise order, starting with the
-        smallest clockwise angle from the upward vertical."""
-        return self._rings[p]
-
     def cone(self, p: int, i: int) -> tuple[int, ...]:
-        """Neighbours of p in cone i, in clockwise order.
-
-        The ring starts at the upward vertical, which lies inside cone 0, so
-        only cone 0 wraps around the ring's start: its members left of p
-        come last in the ring and first in the cone."""
-        xs, ys = self.points.xs, self.points.ys
-        px, py = xs[p], ys[p]
-        members = [
-            v for v in self._rings[p] if cone_index_dir(xs[v] - px, ys[v] - py) == i
-        ]
-        if i == 0:
-            members.sort(key=lambda v: xs[v] >= px)
-        return tuple(members)
+        """Neighbours of p in cone i, in clockwise order."""
+        g = 6 * p + i
+        return tuple(self._nbr[self._start[g] : self._start[g + 1]].tolist())
 
     def is_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
@@ -82,38 +73,40 @@ class Triangulation:
         return tuple(sorted((a, b, c))) in self._triangle_set
 
 
-def _cw_from_north_cmp(ps: PointSet, p: int):
-    """Comparator ordering neighbour ids clockwise starting from the upward
-    vertical, using exact orientation tests."""
-    px, py = ps.xs[p], ps.ys[p]
-
-    def region(v: int) -> int:
-        dx = ps.xs[v] - px
-        dy = ps.ys[v] - py
-        if dx == 0.0:
-            return 0 if dy > 0 else 2
-        return 1 if dx > 0 else 3
-
-    def cmp(u: int, v: int) -> int:
-        ru, rv = region(u), region(v)
-        if ru != rv:
-            return -1 if ru < rv else 1
-        # Same open halfplane: u precedes v (clockwise) iff cross(u, v) < 0.
-        return orient(ps[p], ps[u], ps[v])
-
-    return functools.cmp_to_key(cmp)
+#: Oriented edges classified per block in ``_cone_table``, so that the
+#: float temporaries stay small.
+_CLASSIFY_BLOCK = 1 << 14
 
 
-def _build_rings(ps: PointSet, edges: frozenset[tuple[int, int]]) -> dict:
-    nbrs: dict[int, list[int]] = {i: [] for i in range(len(ps))}
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    rings = {}
-    for p, vs in nbrs.items():
-        vs.sort(key=_cw_from_north_cmp(ps, p))
-        rings[p] = tuple(vs)
-    return rings
+def _cone_table(ps: PointSet, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Classify each oriented edge's cone once and group the far ends by
+    (vertex, cone).  A cone spans 60 degrees, so the exact orientation test
+    orders each group clockwise."""
+    n, m = len(ps), len(edges)
+    ends = np.fromiter(
+        itertools.chain.from_iterable(edges), dtype=np.int32, count=2 * m
+    ).reshape(m, 2)
+    src = ends.T.ravel()  # u of every (u, v), then v
+    dst = ends[:, ::-1].T.ravel()
+    del ends
+    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    group = 6 * src
+    for k in range(0, 2 * m, _CLASSIFY_BLOCK):
+        block = slice(k, k + _CLASSIFY_BLOCK)
+        s, d = src[block], dst[block]
+        with np.errstate(over="ignore"):
+            group[block] += cone_indices(xs[d] - xs[s], ys[d] - ys[s])
+    del src
+    nbr = dst[np.argsort(group, kind="stable")]
+    start = np.zeros(6 * n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(group, minlength=6 * n), out=start[1:])
+    for g in np.flatnonzero(np.diff(start) > 1).tolist():
+        lo, hi = start[g], start[g + 1]
+        apex = ps[g // 6]
+        # v precedes w clockwise iff w lies right of apex -> v
+        cw = functools.cmp_to_key(lambda v, w: orient(apex, ps[v], ps[w]))
+        nbr[lo:hi] = sorted(nbr[lo:hi].tolist(), key=cw)
+    return nbr, start
 
 
 def _verify_delaunay_triangles(ps: PointSet, triangles) -> None:
@@ -308,16 +301,18 @@ class CanonicalSubgraph:
 def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
     """Subsequence of p's cone neighbourhood at bisector distance >= [pr],
     with its surviving canonical edges and vertex roles."""
-    ps = T.points
     if not T.is_edge(p, r):
         raise ValueError(f"({p},{r}) is not a triangulation edge")
-    i = cone_index(ps[p], ps[r])
+    xs, ys = T.points.xs, T.points.ys
+    px, py = xs[p], ys[p]
+    dx, dy = xs[r] - px, ys[r] - py
+    i = cone_index_dir(dx, dy)
     nb = cone_neighbourhood(T, p, i)
-    threshold = bisector_distance(ps[p], ps[r])
+    threshold = bisector_in_cone(dx, dy, i)
     keep = [
         v
         for v in nb.vertices
-        if v == r or bisector_distance(ps[p], ps[v]) >= threshold
+        if v == r or bisector_in_cone(xs[v] - px, ys[v] - py, i) >= threshold
     ]
     keep_set = set(keep)
     edges = tuple(

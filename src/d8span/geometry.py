@@ -172,6 +172,10 @@ def _cmp_sq3(dy: float, dx: float) -> int:
         return 1
     if rhs > lhs * (1 + 1e-9) + 1e-300:
         return -1
+    return _cmp_sq3_exact(dy, dx)
+
+
+def _cmp_sq3_exact(dy: float, dx: float) -> int:
     fy, fx = Fraction(dy), Fraction(dx)
     return _sign(fy * fy - 3 * fx * fx)
 
@@ -199,6 +203,32 @@ def cone_index_dir(dx: float, dy: float) -> int:
     return 2 if dx > 0 else 4
 
 
+def cone_indices(dx, dy) -> np.ndarray:
+    """``cone_index_dir`` of each (dx[k], dy[k]) of two 1-D float arrays, as
+    int8.  The same float filter decides each steepness test; only the
+    entries it leaves undecided are compared exactly."""
+    dx = np.asarray(dx, dtype=np.float64)
+    dy = np.asarray(dy, dtype=np.float64)
+    if np.any((dx == 0.0) & (dy == 0.0)):
+        raise DegeneratePairError("degenerate pair")
+    with np.errstate(over="ignore"):
+        lhs = dy * dy
+        rhs = 3.0 * dx * dx
+        steep = lhs > rhs * (1 + 1e-9) + 1e-300
+        shallow = rhs > lhs * (1 + 1e-9) + 1e-300
+    # left undecided by the filter: compare exactly where cone_index_dir
+    # compares at all, that is where dy != 0
+    for k in np.flatnonzero(~steep & ~shallow & (dy != 0.0)):
+        steep[k] = _cmp_sq3_exact(float(dy[k]), float(dx[k])) > 0
+    up, flat, right = dy > 0.0, dy == 0.0, dx > 0.0
+    out = np.select(
+        [up & steep, up, flat, steep],
+        [0, np.where(right, 1, 5), np.where(right, 2, 5), 3],
+        np.where(right, 2, 4),
+    )
+    return out.astype(np.int8)
+
+
 def cone_index(p, q) -> int:
     """Cone of p containing q."""
     return cone_index_dir(q.x - p.x, q.y - p.y)
@@ -212,7 +242,12 @@ def bisector_distance(p, q) -> float:
     """
     dx = q.x - p.x
     dy = q.y - p.y
-    ux, uy = CONE_BISECTORS[cone_index_dir(dx, dy)]
+    return bisector_in_cone(dx, dy, cone_index_dir(dx, dy))
+
+
+def bisector_in_cone(dx: float, dy: float, i: int) -> float:
+    """Bisector length of direction (dx, dy), known to lie in cone i."""
+    ux, uy = CONE_BISECTORS[i]
     return dx * ux + dy * uy
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -147,18 +148,103 @@ def test_empty_circumcircle_property():
             assert in_circle(a, b, c, ps[m]) == -1
 
 
+def _cw_from_north_cmp(ps, p):
+    """Comparator ordering neighbour ids clockwise starting from the upward
+    vertical: by open half-plane, then by exact orientation."""
+    px, py = ps.xs[p], ps.ys[p]
+
+    def region(v):
+        dx = ps.xs[v] - px
+        dy = ps.ys[v] - py
+        if dx == 0.0:
+            return 0 if dy > 0 else 2
+        return 1 if dx > 0 else 3
+
+    def cmp(u, v):
+        ru, rv = region(u), region(v)
+        if ru != rv:
+            return -1 if ru < rv else 1
+        # Same open halfplane: u precedes v (clockwise) iff cross(u, v) < 0.
+        return orient(ps[p], ps[u], ps[v])
+
+    return functools.cmp_to_key(cmp)
+
+
+def _oracle_walk(T, p):
+    """p's neighbours in the order T.cone(p, 0), ..., T.cone(p, 5) must list
+    them: the ring clockwise from the upward vertical, rotated so that the
+    members of cone 0 left of p, which end the ring, come first."""
+    ps = T.points
+    nbrs = {v for e in T.edges if p in e for v in e if v != p}
+    ring = sorted(nbrs, key=_cw_from_north_cmp(ps, p))
+    wrapped = [
+        v for v in ring if cone_index(ps[p], ps[v]) == 0 and ps.xs[v] < ps.xs[p]
+    ]
+    return wrapped + [v for v in ring if v not in wrapped]
+
+
+def _assert_cones_match_oracle(T):
+    ps = T.points
+    for p in range(len(ps)):
+        for i in range(6):
+            assert all(cone_index(ps[p], ps[v]) == i for v in T.cone(p, i))
+        walk = [v for i in range(6) for v in T.cone(p, i)]
+        assert walk == _oracle_walk(T, p)
+
+
+def _fan(pts, triangles):
+    return triangulation_from_triangles(PointSet.from_pairs(pts), triangles)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_dt(PointSet.from_pairs([])),
+        lambda: build_dt(PointSet.from_pairs([(3, 7)])),
+        # the other point in cone 0, right and then left of the vertical
+        lambda: build_dt(PointSet.from_pairs([(0, 0), (1, 2)])),
+        lambda: build_dt(PointSet.from_pairs([(0, 0), (-1, 2)])),
+        lambda: build_dt(PointSet.from_pairs([(0, 0), (4, 1), (1, 5)])),
+        lambda: build_dt(random_points(11, 60)),
+        # three consecutive neighbours inside cone 0 of the origin
+        lambda: _fan(
+            [(0, 0), (-1.2, 4.1), (0.1, 5.3), (1.1, 3.9)], [(0, 1, 2), (0, 2, 3)]
+        ),
+        # four neighbours of the origin in cone 0, one straight up
+        lambda: _fan(
+            [(0, 0), (-1.5, 5.6), (-0.4, 5.1), (0.0, 4.9), (1.4, 5.5)],
+            [(0, 1, 2), (0, 2, 3), (0, 3, 4)],
+        ),
+        # a hull fan with a gap inside cone 0 of the origin
+        lambda: _fan(
+            [(0, 0), (0.2, 1), (1, 0.1), (0.1, -1), (-1, -0.1), (-0.2, 1.01)],
+            [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)],
+        ),
+    ],
+    ids=[
+        "n0", "n1", "n2-right", "n2-left", "n3", "random60",
+        "fan", "fan-vertical", "hull-gap",
+    ],
+)
+def test_cones_match_oracle(make):
+    _assert_cones_match_oracle(make())
+
+
 def test_ring_is_clockwise():
     ps = random_points(4, 30)
     T = build_dt(ps)
+    _assert_cones_match_oracle(T)
     for p in range(len(ps)):
-        ring = T.ring(p)
+        walk = [v for i in range(6) for v in T.cone(p, i)]
+        # clockwise angle from cone 0's counter-clockwise boundary, 30
+        # degrees left of the upward vertical
         angles = [
-            (90.0 - math.degrees(math.atan2(ps.ys[v] - ps.ys[p], ps.xs[v] - ps.xs[p])))
+            (120.0 - math.degrees(math.atan2(ps.ys[v] - ps.ys[p], ps.xs[v] - ps.xs[p])))
             % 360.0
-            for v in ring
+            for v in walk
         ]
         assert angles == sorted(angles)
-        assert len(set(ring)) == len(ring)
+        assert len(set(walk)) == len(walk)
 
 
 def test_cone_neighbourhoods_partition_ring():
@@ -172,8 +258,7 @@ def test_cone_neighbourhoods_partition_ring():
                 assert all(cone_index(ps[p], ps[v]) == i for v in nb.vertices)
                 seen.extend(nb.vertices)
             # cones 0..5 in turn walk the whole ring clockwise once
-            ring = list(T.ring(p))
-            assert any(seen == ring[k:] + ring[:k] for k in range(len(ring)))
+            assert seen == _oracle_walk(T, p)
 
 
 def test_cone_neighbourhood_consecutive_edges():
@@ -207,18 +292,20 @@ def test_hull_gap_is_not_a_canonical_edge():
     nb = cone_neighbourhood(T, 0, 0)
     assert nb.vertices == (5, 1)
     assert nb.canonical_edges == ()
+    _assert_cones_match_oracle(T)
     # on a Delaunay triangulation: no hull vertex with a third neighbour has
     # a canonical edge joining its two hull neighbours
     T = build_dt(random_points(8, 20))
+    _assert_cones_match_oracle(T)
     for p in range(len(T.points)):
         canon = [
             e for i in range(6) for e in cone_neighbourhood(T, p, i).canonical_edges
         ]
+        ring = [v for i in range(6) for v in T.cone(p, i)]
         hull_nbrs = [
-            v for v in T.ring(p)
-            if sum(p in t and v in t for t in T.triangles) == 1
+            v for v in ring if sum(p in t and v in t for t in T.triangles) == 1
         ]
-        if hull_nbrs and len(T.ring(p)) >= 3:
+        if hull_nbrs and len(ring) >= 3:
             a, b = hull_nbrs
             assert (a, b) not in canon and (b, a) not in canon
 

@@ -1,9 +1,13 @@
 import math
+import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d8span import geometry
 from d8span.delaunay import build_dt
 from d8span.geometry import (
     METRIC_RTOL,
@@ -17,6 +21,7 @@ from d8span.geometry import (
     check_general_position,
     cone_index,
     cone_index_dir,
+    cone_indices,
     euclid,
     in_circle,
     orient,
@@ -136,6 +141,97 @@ def test_cone_matches_atan2_oracle():
         if min(cw_from_north % 60.0, 60.0 - cw_from_north % 60.0) < 1e-6:
             continue  # too close to a boundary for the float oracle
         assert cone_index_dir(dx, dy) == int((cw_from_north + 30.0) // 60.0) % 6
+
+
+# ---------------------------------------------------------------------------
+# batch cone classification
+
+
+def _scalar_cones(dx, dy):
+    return [cone_index_dir(a, b) for a, b in zip(dx.tolist(), dy.tolist())]
+
+
+component = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -5e-324]),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(component, component).filter(lambda d: d != (0.0, 0.0)),
+        max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_cone_indices_matches_cone_index_dir(dirs):
+    dx = np.array([a for a, _ in dirs], dtype=np.float64)
+    dy = np.array([b for _, b in dirs], dtype=np.float64)
+    got = cone_indices(dx, dy)
+    assert got.dtype == np.int8 and got.shape == dx.shape
+    assert got.tolist() == _scalar_cones(dx, dy)
+
+
+def test_cone_indices_signed_zeros_and_empty():
+    dx = np.array([0.0, -0.0, 0.0, -0.0, 2.0, -2.0, 3.0, -3.0])
+    dy = np.array([1.0, 1.0, -1.0, -1.0, 0.0, 0.0, -0.0, -0.0])
+    assert cone_indices(dx, dy).tolist() == [0, 0, 3, 3, 2, 5, 2, 5]
+    assert cone_indices(dx, dy).tolist() == _scalar_cones(dx, dy)
+    assert cone_indices(np.array([]), np.array([])).tolist() == []
+    with pytest.raises(DegeneratePairError):
+        cone_indices(np.array([1.0, -0.0]), np.array([1.0, 0.0]))
+
+
+def test_cone_indices_overflow_is_silent():
+    # dy^2 and 3 dx^2 overflow to inf; the filter then leaves the entry to
+    # the exact comparison, which sees the finite doubles
+    dx = np.array([1e200, 1e-200, 1e200, 1.7e308, 1e160, -1e155])
+    dy = np.array([1e200, 1e200, -1e160, -1.7e308, 1e200, 1.8e155])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cone_indices(dx, dy)
+    assert got.tolist() == _scalar_cones(dx, dy)
+
+
+def _sqrt3_convergents():
+    """Convergents P/Q of sqrt(3) = [1; 1, 2, 1, 2, ...] with Q in [10^5,
+    2^26]: P^2 - 3 Q^2 is -2 or 1, far inside the float filter's margin."""
+    out = []
+    p0, q0, p1, q1 = 1, 0, 1, 1
+    for k in range(60):
+        a = 2 if k % 2 else 1
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if 10**5 <= q1 <= 2**26:
+            out.append((p1, q1))
+    return out
+
+
+@given(
+    st.sampled_from(_sqrt3_convergents()),
+    st.integers(min_value=-560, max_value=560),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from([1.0, -1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cone_indices_near_sqrt3_falls_back_to_exact(pq, k, sx, sy):
+    P, Q = pq
+    near = (sx * math.ldexp(Q, k), sy * math.ldexp(P, k))
+    # a near-boundary direction among ones the filter decides
+    dx = np.array([near[0], 1.0, 0.0, 1.0])
+    dy = np.array([near[1], 0.5, 1.0, 0.0])
+    spy = mock.patch.object(
+        geometry, "_cmp_sq3_exact", wraps=geometry._cmp_sq3_exact
+    )
+    with spy as exact:
+        got = cone_indices(dx, dy)
+    assert exact.call_count == 1
+    assert got.tolist() == _scalar_cones(dx, dy)
+    steep = P * P > 3 * Q * Q  # exact, in integers
+    if sy > 0:
+        expected = 0 if steep else (1 if sx > 0 else 5)
+    else:
+        expected = 3 if steep else (2 if sx > 0 else 4)
+    assert got[0] == expected
 
 
 # ---------------------------------------------------------------------------

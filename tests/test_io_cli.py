@@ -223,7 +223,22 @@ def test_cli_audit_edge_id_out_of_range_exits_2(tmp_path, capsys, edge):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"# E_A\n{edge}\n")
     assert main(["audit", "--in", str(pts), "--edges", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: vertex id outside")
+
+
+@pytest.mark.parametrize(
+    "edge, reason",
+    [("3 3", "joins vertex 3 to itself"), ("1.5 2", "expected integer vertex ids")],
+)
+def test_cli_audit_bad_edge_line_exits_2(tmp_path, capsys, edge, reason):
+    # a self-loop is not an edge: before, it reached the audit, which
+    # reported vertex 3 with degree 2 and a non-DT edge and exited 1
+    pts = tmp_path / "pts.txt"
+    assert main(["generate", "--n", "30", "--seed", "1", "--out", str(pts)]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# E_A\n0 1\n{edge}\n")
+    assert main(["audit", "--in", str(pts), "--edges", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:3: {reason}: {edge!r}\n"
 
 
 def test_cli_missing_file_exits_2(tmp_path):
