@@ -231,8 +231,8 @@ def test_cli_audit_edge_id_out_of_range_exits_2(tmp_path, capsys, edge):
     [("3 3", "joins vertex 3 to itself"), ("1.5 2", "expected integer vertex ids")],
 )
 def test_cli_audit_bad_edge_line_exits_2(tmp_path, capsys, edge, reason):
-    # a self-loop is not an edge: before, it reached the audit, which
-    # reported vertex 3 with degree 2 and a non-DT edge and exited 1
+    # a self-loop is not an edge; left to the audit, it would read as a
+    # degree-2 vertex with a non-DT edge, an audit failure
     pts = tmp_path / "pts.txt"
     assert main(["generate", "--n", "30", "--seed", "1", "--out", str(pts)]) == 0
     bad = tmp_path / "bad.txt"
