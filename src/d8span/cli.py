@@ -110,14 +110,10 @@ def _cmd_stretch(args) -> int:
     ps = load_points(args.infile)
     T, sel = construct_d8(ps)
     s = stretch_vs_dt(T, sel)
-    worst = max(
-        (e.path_length / e.euclidean for e in s.per_dt_edge.values() if e.euclidean > 0),
-        default=1.0,
-    )
     doc = {
         "connected": s.connected,
         "dt_edges": len(s.per_dt_edge),
-        "max_per_edge_ratio": worst,
+        "max_per_edge_ratio": s.max_edge_ratio,
         "max_edge_ratio_vs_euclid_bound_ok": s.ok,
         "all_pairs_max_ratio_vs_dt": s.all_pairs_max_ratio_vs_dt,
         "all_pairs_max_ratio_vs_euclid": s.all_pairs_max_ratio_vs_euclid,

@@ -280,8 +280,6 @@ class CanonicalSubgraph:
     cone: int
     vertices: tuple[int, ...]  # clockwise order
     edges: tuple[tuple[int, int], ...]
-    # roles: vertex id -> "anchor" | "end" | "inner" (anchor wins when both)
-    roles: dict[int, str]
 
     @property
     def first_vertex(self) -> int:
@@ -300,7 +298,7 @@ class CanonicalSubgraph:
 
 def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
     """Subsequence of p's cone neighbourhood at bisector distance >= [pr],
-    with its surviving canonical edges and vertex roles."""
+    with its surviving canonical edges."""
     if not T.is_edge(p, r):
         raise ValueError(f"({p},{r}) is not a triangulation edge")
     xs, ys = T.points.xs, T.points.ys
@@ -320,13 +318,6 @@ def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
         for u, v in nb.canonical_edges
         if u in keep_set and v in keep_set
     )
-    roles = {}
-    for v in keep:
-        roles[v] = "inner"
-    if keep:
-        roles[keep[0]] = "end"
-        roles[keep[-1]] = "end"
-    roles[r] = "anchor"
     return CanonicalSubgraph(
-        apex=p, anchor=r, cone=i, vertices=tuple(keep), edges=edges, roles=roles
+        apex=p, anchor=r, cone=i, vertices=tuple(keep), edges=edges
     )

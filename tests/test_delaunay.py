@@ -316,7 +316,7 @@ def test_canonical_subgraph_anchor_only():
     can = canonical_subgraph(T, 0, 1)
     assert can.vertices == (1,)
     assert can.edges == ()
-    assert can.roles[1] == "anchor"
+    assert can.anchor == can.first_vertex == can.last_vertex == 1
 
 
 def test_canonical_subgraph_inner_anchor_shape():
@@ -329,9 +329,8 @@ def test_canonical_subgraph_inner_anchor_shape():
     assert r == 3
     can = canonical_subgraph(T, 0, r)
     assert can.vertices == (1, 2, 3, 4)
-    assert can.roles[r] == "anchor"
-    assert can.roles[1] == "end" and can.roles[4] == "end"
-    assert can.roles[2] == "inner"
+    assert can.anchor == r
+    assert can.first_vertex == 1 and can.last_vertex == 4
     assert can.is_path()
 
 

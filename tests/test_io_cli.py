@@ -268,6 +268,34 @@ def test_cli_stretch_report(tmp_path, capsys):
     assert main(["stretch", "--in", str(pts)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_per_edge_ratio"] <= 2.2091996 + 1e-9
+    assert doc["max_per_edge_ratio"] == doc["all_pairs_max_ratio_vs_dt"]
+
+
+def test_cli_one_point_reports(tmp_path, capsys):
+    # a graph on one point keeps every distance: each stretch figure is 1.0
+    pts = tmp_path / "one.txt"
+    pts.write_text("3.5 -1\n")
+    assert main(["audit", "--in", str(pts)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert doc["stretch"] == {
+        "connected": True,
+        "max_edge_ratio": 1.0,
+        "all_pairs_max_ratio_vs_dt": 1.0,
+        "all_pairs_max_ratio_vs_euclid": 1.0,
+        "ok": True,
+    }
+    assert main(["stretch", "--in", str(pts)]) == 0
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "connected": true,\n'
+        '  "dt_edges": 0,\n'
+        '  "max_per_edge_ratio": 1.0,\n'
+        '  "max_edge_ratio_vs_euclid_bound_ok": true,\n'
+        '  "all_pairs_max_ratio_vs_dt": 1.0,\n'
+        '  "all_pairs_max_ratio_vs_euclid": 1.0\n'
+        "}\n"
+    )
 
 
 def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
