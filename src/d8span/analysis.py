@@ -25,7 +25,6 @@ from .geometry import (
     cone_index,
     cone_indices,
     euclid,
-    orient,
 )
 
 THETA = math.pi / 3
@@ -92,33 +91,12 @@ def degree_audit(T: Triangulation, sel: EdgeSelection):
     }
 
 
-def _segments_cross(a, b, c, d) -> bool:
-    """Proper crossing of segments (a,b) and (c,d) with no shared endpoint."""
-    return (
-        orient(a, b, c) * orient(a, b, d) < 0
-        and orient(c, d, a) * orient(c, d, b) < 0
-    )
-
-
-def subgraph_audit(T: Triangulation, sel: EdgeSelection, *, debug_crossings=False):
-    """Verify the selection is a subset of the triangulation's edges; with
-    ``debug_crossings`` also run an O(E^2) segment-intersection check."""
+def subgraph_audit(T: Triangulation, sel: EdgeSelection):
+    """Verify the selection is a subset of the triangulation's edges.  That
+    also proves it plane: ``build_dt`` certifies the triangulation, and no
+    two edges of a triangulation cross."""
     offenders = [e for e in sel.d8_edges if e not in T.edges]
-    crossings = []
-    if debug_crossings and not offenders:
-        ps = T.points
-        edges = sorted(sel.d8_edges)
-        for k, (u, v) in enumerate(edges):
-            for x, y in edges[k + 1 :]:
-                if len({u, v, x, y}) < 4:
-                    continue
-                if _segments_cross(ps[u], ps[v], ps[x], ps[y]):
-                    crossings.append(((u, v), (x, y)))
-    return {
-        "passed": not offenders and not crossings,
-        "non_dt_edges": offenders,
-        "crossings": crossings,
-    }
+    return {"passed": not offenders, "non_dt_edges": offenders}
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +591,10 @@ def run_audits(
     sel: EdgeSelection,
     *,
     with_stretch: bool = True,
-    debug_crossings: bool = False,
 ) -> AuditReport:
     return AuditReport(
         degrees=degree_audit(T, sel),
-        subgraph=subgraph_audit(T, sel, debug_crossings=debug_crossings),
+        subgraph=subgraph_audit(T, sel),
         lemmas=lemma_audits(T, sel),
         stretch=stretch_vs_dt(T, sel) if with_stretch else None,
     )

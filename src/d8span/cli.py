@@ -2,15 +2,13 @@
 
 Subcommands: generate, build, audit, stretch, witness.  Exit codes:
 0 = all asserted bounds hold, 1 = an audit or bound failed (a JSON
-counterexample is emitted), 2 = input error.  The environment variable
-``D8_SEED`` overrides ``--seed`` for sweeps.
+counterexample is emitted), 2 = input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,7 +18,7 @@ from .delaunay import build_dt, edge_key
 from .geometry import GeneralPositionError
 from .pointio import DISTRIBUTIONS, RunConfig, generate, load_points, serialize_points
 from .render import render_svg
-from .report import report_json
+from .report import _jsonable, report_json
 
 EXIT_OK = 0
 EXIT_AUDIT_FAILURE = 1
@@ -101,7 +99,7 @@ def _cmd_audit(args) -> int:
         sel = _parse_edge_file(args.edges, len(ps))
     else:
         T, sel = construct_d8(ps)
-    report = run_audits(T, sel, debug_crossings=args.debug_crossings)
+    report = run_audits(T, sel)
     _write(args.report, report_json(report))
     return EXIT_OK if report.ok else EXIT_AUDIT_FAILURE
 
@@ -118,7 +116,7 @@ def _cmd_stretch(args) -> int:
         "all_pairs_max_ratio_vs_dt": s.all_pairs_max_ratio_vs_dt,
         "all_pairs_max_ratio_vs_euclid": s.all_pairs_max_ratio_vs_euclid,
     }
-    _write(args.report, json.dumps(doc, indent=2) + "\n")
+    _write(args.report, json.dumps(_jsonable(doc), indent=2) + "\n")
     return EXIT_OK if s.ok else EXIT_AUDIT_FAILURE
 
 
@@ -170,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--in", dest="infile", required=True)
     a.add_argument("--edges", default=None, help="audit this edge file instead")
     a.add_argument("--report", default="-")
-    a.add_argument("--debug-crossings", action="store_true")
     a.set_defaults(func=_cmd_audit)
 
     s = sub.add_parser("stretch", help="per-edge and all-pairs stretch")
@@ -191,8 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if "D8_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["D8_SEED"])
     try:
         return args.func(args)
     except (OSError, ValueError, GeneralPositionError) as exc:

@@ -1,11 +1,10 @@
 """Delaunay triangulation and the neighbourhood queries built on it.
 
-The triangulation itself is produced by Qhull (scipy.spatial.Delaunay); an
-independent brute-force oracle (`dt_oracle`) recomputes the edge set from the
-empty-circumcircle characterisation and is used by the test suite to validate
-the construction.  Every triangle of the returned triangulation is also
-verified against the exact in-circle predicate, so a silent robustness
-failure in the backend is caught rather than propagated.
+The triangulation itself is produced by Qhull (scipy.spatial.Delaunay) and
+then certified exactly by ``certify_delaunay``: a triangulation of the convex
+hull whose interior edges all pass one exact in-circle test is the Delaunay
+triangulation, so a silent robustness failure in the backend is caught
+rather than propagated.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .geometry import (
     Violation,
     bisector_in_cone,
     check_general_position,
-    circumcircle,
     cone_index_dir,
     cone_indices,
     in_circle,
@@ -109,32 +107,77 @@ def _cone_table(ps: PointSet, edges) -> tuple[np.ndarray, np.ndarray]:
     return nbr, start
 
 
-def _verify_delaunay_triangles(ps: PointSet, triangles) -> None:
-    """Exact empty-circle check of every triangle against every point."""
-    n = len(ps)
-    xs = np.asarray(ps.xs)
-    ys = np.asarray(ps.ys)
+def certify_delaunay(ps: PointSet, triangles) -> None:
+    """Prove exactly that ``triangles`` is the Delaunay triangulation of ps.
+
+    The first checks prove a triangulation of the convex hull: every
+    triangle is non-degenerate and, once oriented counter-clockwise, each
+    directed edge borders at most one of them; every point is a vertex; the
+    directed edges without a twin are exactly the hull's; and there are
+    2n - 2 - h triangles for h hull points.  By the Delaunay lemma (de Berg
+    et al., *Computational Geometry*, ch. 9) such a triangulation is the
+    Delaunay triangulation once every interior edge is locally Delaunay, so
+    one in-circle test per interior edge finishes the proof.  An opposite
+    vertex inside raises ``ConstructionError``; with none inside, one on
+    the circle means four points on an empty circle, which leave the
+    Delaunay triangulation non-unique, and raises ``GeneralPositionError``.
+    """
+    n, P = len(ps), list(ps)
+    left: dict[tuple[int, int], int] = {}  # directed edge -> apex on its left
     for tri in triangles:
-        a, b, c = (ps[i] for i in tri)
-        if orient(a, b, c) < 0:
+        a, b, c = tri
+        s = orient(P[a], P[b], P[c])
+        if s == 0:
+            raise ConstructionError(f"triangle {tri} is degenerate")
+        if s < 0:
             b, c = c, b
-        # Float circumcircle with margin; escalate borderline points.
-        cx, cy, r2 = circumcircle(a, b, c)
-        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-        suspects = np.flatnonzero(d2 <= r2 * (1 + 1e-9))
-        for m in suspects:
-            m = int(m)
-            if m in tri:
-                continue
-            s = in_circle(a, b, c, ps[m])
-            if s > 0:
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            if (u, v) in left:
                 raise ConstructionError(
-                    f"triangle {tri} is not Delaunay: point {m} inside circumcircle"
+                    f"directed edge {(u, v)} borders two triangles"
                 )
-            if s == 0:
-                raise GeneralPositionError(
-                    [Violation("cocircular", tuple(sorted(tri + (m,))))]
-                )
+            left[u, v] = w
+    missing = sorted(set(range(n)).difference(u for u, _ in left))
+    if missing:
+        raise ConstructionError(f"points in no triangle: {tuple(missing[:10])}")
+    hull = _convex_hull(P)
+    h = len(hull)
+    boundary = {e for e in left if e[::-1] not in left}
+    if boundary != set(zip(hull, hull[1:] + hull[:1])):
+        raise ConstructionError("the triangulation's boundary is not the convex hull")
+    if len(triangles) != 2 * n - 2 - h:
+        raise ConstructionError(f"{len(triangles)} triangles for n={n}, h={h}")
+    cocircular = []
+    for (u, v), w in left.items():
+        x = left.get((v, u))
+        if u > v or x is None:
+            continue
+        s = in_circle(P[u], P[v], P[w], P[x])
+        if s > 0:
+            raise ConstructionError(
+                f"edge {(u, v)} is not Delaunay: point {x} inside the "
+                f"circumcircle of {(u, v, w)}"
+            )
+        if s == 0:
+            cocircular.append(Violation("cocircular", tuple(sorted((u, v, w, x)))))
+    if cocircular:
+        raise GeneralPositionError(sorted(cocircular, key=lambda c: c.ids))
+
+
+def _convex_hull(P) -> list[int]:
+    """Ids of the hull's points counter-clockwise, those inside its edges
+    included (Andrew's monotone chain on exact ``orient``)."""
+    order = sorted(range(len(P)), key=lambda i: (P[i].x, P[i].y))
+
+    def chain(ids):
+        out: list[int] = []
+        for i in ids:
+            while len(out) >= 2 and orient(P[out[-2]], P[out[-1]], P[i]) < 0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    return chain(order) + chain(reversed(order))
 
 
 def build_dt(ps: PointSet) -> Triangulation:
@@ -144,8 +187,8 @@ def build_dt(ps: PointSet) -> Triangulation:
     ``check_general_position``.  The two degeneracies that leave no unique
     Delaunay triangulation are rejected exactly afterwards: a set that is
     all collinear when Qhull fails, and four points on an empty circle in
-    the exact per-triangle verification.  Collinear triples, and cocircular
-    points with a point inside their circle, are accepted.
+    ``certify_delaunay``.  Collinear triples, and cocircular points with a
+    point inside their circle, are accepted.
     """
     n = len(ps)
     report = check_general_position(ps)
@@ -166,13 +209,8 @@ def build_dt(ps: PointSet) -> Triangulation:
         raise ConstructionError(
             f"Qhull failed on {n} points that are not all collinear: {reason}"
         ) from exc
-    if tri.coplanar.size:
-        ids = tuple(int(i) for i in tri.coplanar[:, 0])
-        raise GeneralPositionError([Violation("cocircular", ids)])
-    triangles = tuple(
-        tuple(sorted(int(v) for v in simplex)) for simplex in tri.simplices
-    )
-    _verify_delaunay_triangles(ps, triangles)
+    triangles = tuple(map(tuple, np.sort(tri.simplices, axis=1).tolist()))
+    certify_delaunay(ps, triangles)
     return triangulation_from_triangles(ps, triangles)
 
 
@@ -189,68 +227,6 @@ def triangulation_from_triangles(ps: PointSet, triangles) -> Triangulation:
     if len(ps) == 2:
         edges.add((0, 1))
     return Triangulation(ps, frozenset(edges), tris)
-
-
-def dt_oracle(ps: PointSet, *, cap: int = 1000) -> Triangulation:
-    """Independent brute-force Delaunay edge set.
-
-    An edge (p, q) is included iff some circle through p and q is empty of
-    the other points, decided by testing the circumcircle of every triple
-    (p, q, r).  Quartic; refuses inputs above ``cap`` points.
-    """
-    n = len(ps)
-    if n > cap:
-        raise ValueError(f"dt_oracle cap exceeded: {n} > {cap}")
-    if n < 3:
-        return triangulation_from_triangles(ps, ())
-    xs = np.asarray(ps.xs)
-    ys = np.asarray(ps.ys)
-    edges = set()
-    for p, q in itertools.combinations(range(n), 2):
-        a, b = ps[p], ps[q]
-        for r in range(n):
-            if r == p or r == q:
-                continue
-            c = ps[r]
-            o = orient(a, b, c)
-            if o == 0:
-                continue
-            aa, bb, cc = (a, b, c) if o > 0 else (a, c, b)
-            ccx, ccy, r2 = circumcircle(aa, bb, cc)
-            d2 = (xs - ccx) ** 2 + (ys - ccy) ** 2
-            inside = np.flatnonzero(d2 < r2 * (1 + 1e-9))
-            ok = True
-            for m in inside:
-                m = int(m)
-                if m in (p, q, r):
-                    continue
-                if in_circle(aa, bb, cc, ps[m]) >= 0:
-                    ok = False
-                    break
-            if ok:
-                edges.add((p, q))
-                break
-    # Triangles: triples whose three edges are all present and whose
-    # circumcircle is empty.
-    triangles = []
-    for a, b, c in itertools.combinations(range(n), 3):
-        if (a, b) in edges and (a, c) in edges and (b, c) in edges:
-            pa, pb, pc = ps[a], ps[b], ps[c]
-            o = orient(pa, pb, pc)
-            if o == 0:
-                continue
-            if o < 0:
-                pb, pc = pc, pb
-            empty = True
-            for m in range(n):
-                if m in (a, b, c):
-                    continue
-                if in_circle(pa, pb, pc, ps[m]) > 0:
-                    empty = False
-                    break
-            if empty:
-                triangles.append((a, b, c))
-    return Triangulation(ps, frozenset(edges), tuple(triangles))
 
 
 # ---------------------------------------------------------------------------

@@ -278,20 +278,6 @@ def euclid(p, q) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
 
-def circumcircle(a, b, c) -> tuple[float, float, float]:
-    """Floating-point circumcenter and squared radius of a non-degenerate
-    triangle; used only as a prefilter ahead of the exact in-circle test."""
-    ax, ay = a.x - c.x, a.y - c.y
-    bx, by = b.x - c.x, b.y - c.y
-    d = 2.0 * (ax * by - ay * bx)
-    la = ax * ax + ay * ay
-    lb = bx * bx + by * by
-    ux = c.x + (by * la - ay * lb) / d
-    uy = c.y + (ax * lb - bx * la) / d
-    r2 = (a.x - ux) ** 2 + (a.y - uy) ** 2
-    return ux, uy, r2
-
-
 # ---------------------------------------------------------------------------
 # General position
 

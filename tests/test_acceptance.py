@@ -30,12 +30,13 @@ from d8span.analysis import (
     witness_path,
 )
 from d8span.builder import construct_d8
-from d8span.delaunay import build_dt, dt_oracle
+from d8span.delaunay import build_dt
 from d8span.geometry import euclid
 from d8span.pointio import RunConfig, generate
 from d8span.report import report_json
 
 import test_analysis as controls
+from oracles import crossings, dt_oracle
 
 TOL = BOUND_RTOL  # 1e-9, the spec's tolerance for all bound assertions
 
@@ -171,8 +172,7 @@ def test_criterion_3_planarity(capsys, degree_sweep):
     for seed in range(50):
         ps = random_points(seed + 40_000, 5 + (seed * 7) % 96)  # n <= 100
         T, sel = construct_d8(ps)
-        v = subgraph_audit(T, sel, debug_crossings=True)
-        if not v["passed"]:
+        if not subgraph_audit(T, sel)["passed"] or crossings(ps, sel.d8_edges):
             crossing_fails += 1
     ok = degree_sweep["subgraph_violations"] == 0 and crossing_fails == 0
     emit(

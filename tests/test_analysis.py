@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_points
+from oracles import crossings
 from d8span import analysis
 from d8span.analysis import (
     BOUND_RTOL,
@@ -86,8 +87,9 @@ def test_degree_audit_triangle():
 
 def test_subgraph_audit_passes(small_instance):
     ps, T, sel = small_instance
-    v = subgraph_audit(T, sel, debug_crossings=True)
-    assert v["passed"] and not v["crossings"]
+    v = subgraph_audit(T, sel)
+    assert v["passed"]
+    assert crossings(ps, sel.d8_edges) == []
 
 
 def test_subgraph_audit_negative_control(small_instance):
@@ -457,7 +459,7 @@ def test_charged_cone_negative_control(small_instance):
 
 def test_run_audits_report(small_instance):
     ps, T, sel = small_instance
-    rep = run_audits(T, sel, debug_crossings=True)
+    rep = run_audits(T, sel)
     assert rep.ok
     assert rep.degrees["max_degree"] <= 8
     assert all(v.passed for v in rep.lemmas)

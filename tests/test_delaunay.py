@@ -5,16 +5,16 @@ import pytest
 from scipy.spatial import QhullError
 
 from conftest import random_points
+from oracles import dt_oracle
 from d8span import builder, delaunay
 from d8span.analysis import run_audits
 from d8span.builder import add_incident, construct_d8, sort_edges
 from d8span.delaunay import (
     ConstructionError,
-    _verify_delaunay_triangles,
     build_dt,
     canonical_subgraph,
+    certify_delaunay,
     cone_neighbourhood,
-    dt_oracle,
     edge_key,
     triangulation_from_triangles,
 )
@@ -68,7 +68,7 @@ def test_horizontal_run_reports_consecutive_pairs():
 
 def test_empty_circle_quadruple_rejected():
     # Qhull splits the square-like quadruple into two triangles without
-    # reporting a coplanar point; the exact verification rejects it
+    # reporting a coplanar point; the certificate rejects it
     ps = PointSet.from_pairs([(3, 4), (4, 3), (-3, -4), (0, 5)])
     with pytest.raises(GeneralPositionError) as err:
         build_dt(ps)
@@ -100,10 +100,49 @@ def test_non_delaunay_triangles_raise_construction_error():
     # a convex kite split along its long diagonal (0, 2): vertex 3 lies
     # inside the circumcircle of (0, 1, 2); the short diagonal is Delaunay
     ps = PointSet.from_pairs([(0, 0), (2, -1), (4, 0.5), (2, 1)])
-    _verify_delaunay_triangles(ps, [(0, 1, 3), (1, 2, 3)])
+    certify_delaunay(ps, [(0, 1, 3), (1, 2, 3)])
     with pytest.raises(ConstructionError, match="is not Delaunay"):
-        _verify_delaunay_triangles(ps, [(0, 1, 2), (0, 2, 3)])
+        certify_delaunay(ps, [(0, 1, 2), (0, 2, 3)])
     assert builder.ConstructionError is ConstructionError
+
+
+SQUARE_PLUS_CENTER = [(0, 0.1), (10, 0.3), (10.4, 10.1), (0.2, 9.9), (5.1, 5.2)]
+SQUARE_FAN = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "pts, triangles, error, match",
+    [
+        (SQUARE_PLUS_CENTER, SQUARE_FAN[:3], ConstructionError, "not the convex hull"),
+        (SQUARE_PLUS_CENTER, SQUARE_FAN + [(0, 1, 4)], ConstructionError, "two"),
+        (SQUARE_PLUS_CENTER, SQUARE_FAN[:2], ConstructionError, r"no triangle: \(3,"),
+        ([(0, 0), (1, 1), (2, 2), (0.3, 1.7)], [(0, 1, 2)], ConstructionError, "degen"),
+        # a dart: point 3 is inside the hull (0, 1, 2) but on the boundary
+        (
+            [(0, 0), (4, 0.5), (2, 4), (2, 1.2)],
+            [(0, 1, 3), (1, 2, 3)],
+            ConstructionError,
+            "not the convex hull",
+        ),
+        (
+            [(3, 4), (4, 3), (-3, -4), (0, 5)],
+            [(0, 1, 3), (1, 2, 3)],
+            GeneralPositionError,
+            r"cocircular\(0, 1, 2, 3\)",
+        ),
+    ],
+    ids=[
+        "missing-triangle",
+        "edge-twice",
+        "missing-vertex",
+        "degenerate",
+        "dart",
+        "empty-circle",
+    ],
+)
+def test_certificate_negative_controls(pts, triangles, error, match):
+    with pytest.raises(error, match=match):
+        certify_delaunay(PointSet.from_pairs(pts), triangles)
 
 
 def test_qhull_failure_on_non_collinear_set(monkeypatch):
@@ -120,10 +159,11 @@ def test_qhull_failure_on_non_collinear_set(monkeypatch):
 
 def test_square_plus_center():
     # perturbed square with center: 4 hull edges + 4 spokes
-    pts = [(0, 0.1), (10, 0.3), (10.4, 10.1), (0.2, 9.9), (5.1, 5.2)]
+    pts = SQUARE_PLUS_CENTER
     T = build_dt(PointSet.from_pairs(pts))
     O = dt_oracle(PointSet.from_pairs(pts))
     assert T.edges == O.edges
+    assert sorted(T.triangles) == sorted(SQUARE_FAN)
     assert len(T.edges) == 8
     assert all((i, 4) in T.edges or (4, i) in T.edges for i in range(4))
 

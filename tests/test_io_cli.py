@@ -1,7 +1,8 @@
 import json
-import os
+import math
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from conftest import random_points
 from d8span.analysis import run_audits
 from d8span.builder import construct_d8
+from d8span import cli
+from d8span.builder import EdgeSelection
 from d8span.cli import main
+from d8span.geometry import PointSet
 from d8span.pointio import (
     RunConfig,
     generate,
@@ -29,8 +33,6 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(st.lists(st.tuples(finite, finite), max_size=30))
 @settings(max_examples=200)
 def test_point_file_round_trip_exact(pairs):
-    from d8span.geometry import PointSet
-
     ps = PointSet.from_pairs(pairs)
     again = parse_points(serialize_points(ps))
     assert again.xs == ps.xs and again.ys == ps.ys
@@ -69,8 +71,6 @@ def test_generate_distributions(dist):
     ps = generate(RunConfig(n=40, seed=7, distribution=dist))
     assert len(ps) == 40
     if dist == "annulus":
-        import math
-
         for x, y in zip(ps.xs, ps.ys):
             r = math.hypot(x, y)
             assert 300.0 - 1e-9 <= r <= 500.0 + 1e-9
@@ -114,8 +114,6 @@ def test_svg_points_only():
 
 
 def test_svg_triangle_edge_counts():
-    from d8span.geometry import PointSet
-
     T, sel = construct_d8(PointSet.from_pairs([(0, 0), (4, 1), (1, 5)]))
     root = ET.fromstring(render_svg(T, sel))
     circles = root.findall(".//{*}circle")
@@ -184,7 +182,6 @@ def test_cli_pipeline(tmp_path):
                 str(pts),
                 "--report",
                 str(rep),
-                "--debug-crossings",
             ]
         )
         == 0
@@ -298,13 +295,70 @@ def test_cli_one_point_reports(tmp_path, capsys):
     )
 
 
-def test_cli_seed_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("D8_SEED", "77")
-    assert main(["generate", "--n", "10", "--seed", "1"]) == 0
-    with_env = capsys.readouterr().out
-    monkeypatch.delenv("D8_SEED")
-    assert main(["generate", "--n", "10", "--seed", "77"]) == 0
-    assert capsys.readouterr().out == with_env
+def _strict_json(text):
+    """RFC 8259 JSON: Infinity and NaN are not numbers there."""
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _one_edge(T):
+    u, v = sorted(T.edges)[0]
+    return EdgeSelection(e_a=frozenset({(u, v)}), e_can=frozenset())
+
+
+def test_cli_disconnected_audit_is_strict_json(tmp_path, capsys):
+    # one edge on 8 points leaves the spanner disconnected: every stretch
+    # figure is infinite, written as "inf" like the lemma counterexamples
+    pts = tmp_path / "pts.txt"
+    assert main(["generate", "--n", "8", "--seed", "1", "--out", str(pts)]) == 0
+    T, _ = construct_d8(parse_points(pts.read_text()))
+    u, v = sorted(_one_edge(T).e_a)[0]
+    edges = tmp_path / "edges.txt"
+    edges.write_text(f"# E_A\n{u} {v}\n")
+    capsys.readouterr()
+    assert main(["audit", "--in", str(pts), "--edges", str(edges)]) == 1
+    s = _strict_json(capsys.readouterr().out)["stretch"]
+    assert s["connected"] is False
+    assert s["max_edge_ratio"] == "inf"
+    assert s["all_pairs_max_ratio_vs_dt"] == "inf"
+    assert s["all_pairs_max_ratio_vs_euclid"] == "inf"
+
+
+def test_cli_disconnected_stretch_is_strict_json(tmp_path, capsys, monkeypatch):
+    # the construction is always connected; a one-edge selection stands in
+    pts = tmp_path / "pts.txt"
+    assert main(["generate", "--n", "8", "--seed", "1", "--out", str(pts)]) == 0
+    real = cli.construct_d8
+
+    def one_edge(ps):
+        T, _ = real(ps)
+        return T, _one_edge(T)
+
+    monkeypatch.setattr(cli, "construct_d8", one_edge)
+    capsys.readouterr()
+    assert main(["stretch", "--in", str(pts)]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["connected"] is False
+    assert doc["max_per_edge_ratio"] == "inf"
+    assert doc["all_pairs_max_ratio_vs_euclid"] == "inf"
+
+
+def test_cli_point_dropped_by_qhull_exits_1(tmp_path, capsys):
+    # point 30 is point 5 moved one ulp up in x and y: distinct and in
+    # general position, but Qhull leaves it out of every triangle.  That is
+    # a construction failure, not a cocircular input.
+    rng = np.random.default_rng(0)
+    pairs = rng.uniform(0, 1, (30, 2)).tolist()
+    x, y = pairs[5]
+    pairs.append([math.nextafter(x, 2), math.nextafter(y, 2)])
+    pts = tmp_path / "pts.txt"
+    pts.write_text(serialize_points(PointSet.from_pairs(pairs)))
+    assert main(["audit", "--in", str(pts)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "in no triangle: (30,)" in err["construction_error"]
 
 
 def test_cli_degenerate_input_exits_2(tmp_path, capsys):
