@@ -402,47 +402,97 @@ def _oriented_e_a(sel, T):
         yield v, u
 
 
+def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
+    """The canonical-path, anchor-cone and extremal-cone verdicts, from one
+    pass that builds each oriented E_A edge's canonical subgraph once.  Each
+    keeps its first counterexample in ``_oriented_e_a`` order."""
+    ps = T.points
+    found: dict[str, dict] = {}
+    for p, r in _oriented_e_a(sel, T):
+        can = canonical_subgraph(T, p, r)
+        i = can.cone
+        if "canonical_path" not in found and not can.is_path():
+            found["canonical_path"] = {
+                "apex": p, "anchor": r, "vertices": can.vertices, "edges": can.edges
+            }
+        if "anchor_cones" not in found:
+            left = [w for w in T.cone(r, (i + 2) % 6) if sel.has_d8_edge(r, w)]
+            right = [w for w in T.cone(r, (i + 4) % 6) if sel.has_d8_edge(r, w)]
+            if r not in (can.first_vertex, can.last_vertex):
+                bad = left or right
+            else:
+                bad = len(can.vertices) > 1 and left and right
+            if bad:
+                found["anchor_cones"] = {
+                    "apex": p, "anchor": r, "cone": i, "left": left, "right": right
+                }
+        if "extremal_cone" not in found and can.edges:
+            for y, z in (can.edges[-1], can.edges[0][::-1]):
+                if z == r or edge_key(p, z) in sel.e_a:
+                    continue
+                if cone_index(ps[z], ps[y]) == i:
+                    cx = {"apex": p, "anchor": r, "edge": (y, z), "cone": i}
+                    found["extremal_cone"] = cx
+                    break
+        if len(found) == 3:
+            break
+    return [
+        AuditVerdict(name, name not in found, found.get(name))
+        for name in ("canonical_path", "anchor_cones", "extremal_cone")
+    ]
+
+
 def audit_canonical_paths(T, sel) -> AuditVerdict:
     """Every canonical subgraph of a selected incident edge is one simple
     path."""
-    for p, r in _oriented_e_a(sel, T):
-        can = canonical_subgraph(T, p, r)
-        if not can.is_path():
-            return AuditVerdict(
-                "canonical_path",
-                False,
-                {"apex": p, "anchor": r, "vertices": can.vertices, "edges": can.edges},
-            )
-    return AuditVerdict("canonical_path", True)
+    return _subgraph_lemmas(T, sel)[0]
+
+
+def audit_anchor_cones(T, sel) -> AuditVerdict:
+    """For a selected edge (p, r): when r is an inner anchor, the two cones
+    of r flanking the one facing p are free of selected edges; when r is an
+    end vertex with company, at least one of them is."""
+    return _subgraph_lemmas(T, sel)[1]
+
+
+def audit_extremal_cone(T, sel) -> AuditVerdict:
+    """The extremal edge of a canonical subgraph never points back into the
+    apex cone at its end vertex (unless that end vertex is directly
+    selected)."""
+    return _subgraph_lemmas(T, sel)[2]
 
 
 def audit_wedge_angles(T, sel=None) -> AuditVerdict:
     """For any strictly intermediate neighbour x in a cone of p, the angle at
     x facing p (the interior angle of the quadrilateral p, r, x, q, possibly
-    reflex) exceeds 2*pi/3."""
+    reflex) exceeds 2*pi/3.
+
+    Quadratic per cone: float addition is monotone, so angle(a, x, p) plus
+    the least angle(p, x, b) over later b is within the limit exactly when
+    some b's sum is; only then are the b scanned for the first."""
     ps = T.points
     limit = 2 * math.pi / 3 - 1e-9
-    for p in range(len(ps)):
-        for i in range(6):
-            members = T.cone(p, i)
-            m = len(members)
-            for a in range(m - 2):
-                for x in range(a + 1, m - 1):
-                    for b in range(x + 1, m):
-                        ang = _angle(ps, members[a], members[x], p) + _angle(
-                            ps, p, members[x], members[b]
-                        )
-                        if ang <= limit:
-                            return AuditVerdict(
-                                "wedge_angle",
-                                False,
-                                {
-                                    "apex": p,
-                                    "cone": i,
-                                    "triple": (members[a], members[x], members[b]),
-                                    "angle": ang,
-                                },
-                            )
+    for g in np.flatnonzero(T.cone_sizes() > 2).tolist():
+        p, i = divmod(g, 6)
+        members = T.cone(p, i)
+        m = len(members)
+        # far[x - 1][k]: the angle at x between p and members[x + 1 + k]
+        far = [
+            [_angle(ps, p, members[x], members[b]) for b in range(x + 1, m)]
+            for x in range(1, m - 1)
+        ]
+        # a NaN angle never qualifies
+        least = [min((f for f in row if f == f), default=math.inf) for row in far]
+        for a in range(m - 2):
+            for x in range(a + 1, m - 1):
+                near = _angle(ps, members[a], members[x], p)
+                if near + least[x - 1] <= limit:
+                    row = far[x - 1]
+                    k = next(k for k, f in enumerate(row) if near + f <= limit)
+                    triple = (members[a], members[x], members[x + 1 + k])
+                    angle = near + row[k]
+                    cx = {"apex": p, "cone": i, "triple": triple, "angle": angle}
+                    return AuditVerdict("wedge_angle", False, cx)
     return AuditVerdict("wedge_angle", True)
 
 
@@ -485,54 +535,6 @@ def audit_shared_triangles(T, sel=None) -> AuditVerdict:
     return AuditVerdict("shared_triangle", True)
 
 
-def audit_anchor_cones(T, sel) -> AuditVerdict:
-    """For a selected edge (p, r): when r is an inner anchor, the two cones
-    of r flanking the one facing p are free of selected edges; when r is an
-    end vertex with company, at least one of them is."""
-    for p, r in _oriented_e_a(sel, T):
-        can = canonical_subgraph(T, p, r)
-        i = can.cone
-        left = [w for w in T.cone(r, (i + 2) % 6) if sel.has_d8_edge(r, w)]
-        right = [w for w in T.cone(r, (i + 4) % 6) if sel.has_d8_edge(r, w)]
-        if r not in (can.first_vertex, can.last_vertex):
-            if left or right:
-                return AuditVerdict(
-                    "anchor_cones",
-                    False,
-                    {"apex": p, "anchor": r, "cone": i, "left": left, "right": right},
-                )
-        elif len(can.vertices) > 1:
-            if left and right:
-                return AuditVerdict(
-                    "anchor_cones",
-                    False,
-                    {"apex": p, "anchor": r, "cone": i, "left": left, "right": right},
-                )
-    return AuditVerdict("anchor_cones", True)
-
-
-def audit_extremal_cone(T, sel) -> AuditVerdict:
-    """The extremal edge of a canonical subgraph never points back into the
-    apex cone at its end vertex (unless that end vertex is directly
-    selected)."""
-    ps = T.points
-    for p, r in _oriented_e_a(sel, T):
-        can = canonical_subgraph(T, p, r)
-        if not can.edges:
-            continue
-        i = can.cone
-        for y, z in ((can.edges[-1][0], can.edges[-1][1]), (can.edges[0][1], can.edges[0][0])):
-            if z == r or edge_key(p, z) in sel.e_a:
-                continue
-            if cone_index(ps[z], ps[y]) == i:
-                return AuditVerdict(
-                    "extremal_cone",
-                    False,
-                    {"apex": p, "anchor": r, "edge": (y, z), "cone": i},
-                )
-    return AuditVerdict("extremal_cone", True)
-
-
 def audit_charged_cones(T, sel) -> AuditVerdict:
     """Edges recorded as boundary-cone additions (step 4b) must occupy a cone
     of their end vertex that holds no selected incident edge."""
@@ -552,12 +554,13 @@ def audit_charged_cones(T, sel) -> AuditVerdict:
 
 
 def lemma_audits(T: Triangulation, sel: EdgeSelection) -> list[AuditVerdict]:
+    paths, anchors, extremal = _subgraph_lemmas(T, sel)
     return [
-        audit_canonical_paths(T, sel),
+        paths,
         audit_wedge_angles(T, sel),
         audit_shared_triangles(T, sel),
-        audit_anchor_cones(T, sel),
-        audit_extremal_cone(T, sel),
+        anchors,
+        extremal,
         audit_charged_cones(T, sel),
     ]
 

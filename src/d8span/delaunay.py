@@ -46,33 +46,33 @@ class Triangulation:
     triangles: tuple[tuple[int, int, int], ...]  # sorted triples
     # Cone table: the far ends of the 2E oriented edges grouped by (vertex,
     # cone), clockwise within a group; group 6p + i is
-    # _nbr[_start[6p + i]:_start[6p + i + 1]].
+    # _nbr[_start[6p + i]:_start[6p + i + 1]].  _canon[k] marks the
+    # canonical edge (_nbr[k], _nbr[k + 1]) of its group.
     _nbr: np.ndarray = field(init=False, repr=False, compare=False)
     _start: np.ndarray = field(init=False, repr=False, compare=False)
-    _triangle_set: frozenset[tuple[int, int, int]] = field(
-        init=False, repr=False, compare=False
-    )
+    _canon: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nbr, start = _cone_table(self.points, self.edges)
         object.__setattr__(self, "_nbr", nbr)
         object.__setattr__(self, "_start", start)
-        object.__setattr__(self, "_triangle_set", frozenset(self.triangles))
+        object.__setattr__(self, "_canon", _canonical_mask(self.triangles, nbr, start))
 
     def cone(self, p: int, i: int) -> tuple[int, ...]:
         """Neighbours of p in cone i, in clockwise order."""
         g = 6 * p + i
         return tuple(self._nbr[self._start[g] : self._start[g + 1]].tolist())
 
+    def cone_sizes(self) -> np.ndarray:
+        """Number of neighbours in each cone, at index 6p + i."""
+        return np.diff(self._start)
+
     def is_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
 
-    def has_triangle(self, a: int, b: int, c: int) -> bool:
-        return tuple(sorted((a, b, c))) in self._triangle_set
 
-
-#: Oriented edges classified per block in ``_cone_table``, so that the
-#: float temporaries stay small.
+#: Oriented edges classified per block in ``_cone_table`` and
+#: ``_canonical_mask``, so that the temporaries stay small.
 _CLASSIFY_BLOCK = 1 << 14
 
 
@@ -105,6 +105,29 @@ def _cone_table(ps: PointSet, edges) -> tuple[np.ndarray, np.ndarray]:
         cw = functools.cmp_to_key(lambda v, w: orient(apex, ps[v], ps[w]))
         nbr[lo:hi] = sorted(nbr[lo:hi].tolist(), key=cw)
     return nbr, start
+
+
+#: Below this n, triangle keys (a*n + b)*n + c and n**3 fit in int64.
+_INT64_KEYS = 1 << 21
+
+
+def _canonical_mask(triangles, nbr: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Entry k is true when nbr[k] and nbr[k + 1] lie in one (vertex, cone)
+    group and form a triangle with its vertex.  Membership is a lookup among
+    the sorted keys of the triangles, so no coordinate is read."""
+    n = (len(start) - 1) // 6
+    dtype = np.int64 if n < _INT64_KEYS else object
+    t = np.array(triangles, dtype=dtype).reshape(-1, 3)
+    # n**3 exceeds every key, so each search lands inside the array
+    keys = np.append(np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2]), n**3)
+    mask = np.zeros(len(nbr), dtype=bool)
+    for lo in range(0, len(nbr) - 1, _CLASSIFY_BLOCK):
+        k = np.arange(lo, min(lo + _CLASSIFY_BLOCK, len(nbr) - 1))
+        g = np.searchsorted(start, k, side="right") - 1
+        tri = np.sort(np.stack([g // 6, nbr[k], nbr[k + 1]]).astype(dtype), axis=0)
+        q = (tri[0] * n + tri[1]) * n + tri[2]
+        mask[k] = (keys[np.searchsorted(keys, q)] == q) & (start[g + 1] > k + 1)
+    return mask
 
 
 def certify_delaunay(ps: PointSet, triangles) -> None:
@@ -242,11 +265,14 @@ class ConeNeighbourhood:
 
 
 def cone_neighbourhood(T: Triangulation, p: int, i: int) -> ConeNeighbourhood:
-    vertices = T.cone(p, i)
+    lo, hi = T._start[6 * p + i], T._start[6 * p + i + 1]
+    ring = T._nbr[lo : hi + 1].tolist()  # the group and the entry after it
     canon = tuple(
-        (u, v) for u, v in zip(vertices, vertices[1:]) if T.has_triangle(p, u, v)
+        (ring[k], ring[k + 1]) for k, c in enumerate(T._canon[lo:hi].tolist()) if c
     )
-    return ConeNeighbourhood(apex=p, cone=i, vertices=vertices, canonical_edges=canon)
+    return ConeNeighbourhood(
+        apex=p, cone=i, vertices=tuple(ring[: hi - lo]), canonical_edges=canon
+    )
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 """Brute-force reference oracles the test suite checks the library against.
 
-Neither is used by the library: ``build_dt`` certifies its triangulation
-locally, and a subset of a certified triangulation is plane.  These recompute
-the same facts globally, from their definitions.
+None is used by the library: ``build_dt`` certifies its triangulation
+locally, a subset of a certified triangulation is plane, the cone table marks
+canonical edges with a vectorised lookup, and the wedge-angle audit is
+quadratic per cone.  These recompute the same facts from their definitions.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from d8span.analysis import AuditVerdict, _angle
 from d8span.delaunay import Triangulation, triangulation_from_triangles
 from d8span.geometry import in_circle, orient
 
@@ -105,3 +108,32 @@ def crossings(ps, edges) -> list[tuple[tuple[int, int], tuple[int, int]]]:
             ):
                 out.append(((u, v), (x, y)))
     return out
+
+
+def canonical_edges(T, p: int, i: int) -> tuple[tuple[int, int], ...]:
+    """Consecutive members of cone i of p that form a triangle with p, looked
+    up in the triangle list."""
+    triangles = set(T.triangles)
+    vs = T.cone(p, i)
+    return tuple(
+        (u, v) for u, v in zip(vs, vs[1:]) if tuple(sorted((p, u, v))) in triangles
+    )
+
+
+def wedge_angles(T) -> AuditVerdict:
+    """The wedge-angle audit by trying every triple (a, x, b) of a cone in
+    order: cubic per cone."""
+    ps = T.points
+    limit = 2 * math.pi / 3 - 1e-9
+    for p in range(len(ps)):
+        for i in range(6):
+            members = T.cone(p, i)
+            for a, x, b in itertools.combinations(members, 3):
+                ang = _angle(ps, a, x, p) + _angle(ps, p, x, b)
+                if ang <= limit:
+                    return AuditVerdict(
+                        "wedge_angle",
+                        False,
+                        {"apex": p, "cone": i, "triple": (a, x, b), "angle": ang},
+                    )
+    return AuditVerdict("wedge_angle", True)

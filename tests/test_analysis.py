@@ -1,11 +1,12 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_points
-from oracles import crossings
+from oracles import crossings, wedge_angles
 from d8span import analysis
 from d8span.analysis import (
     BOUND_RTOL,
@@ -376,6 +377,47 @@ def test_wedge_negative_control():
     v = audit_wedge_angles(T, sel)
     assert not v.passed
     assert v.counterexample["apex"] == 0
+
+
+def arc_fan(k, jagged=False, scale=1.0):
+    """Apex (0, 0) plus k points at angles in (62, 118) degrees drawn with
+    ``default_rng(0)``, all in cone 0 of the apex: on the arc of radius
+    ``scale``, where every wedge angle passes, or at radii in (0.5, 1.5)
+    times ``scale``."""
+    rng = np.random.default_rng(0)
+    t = np.sort(np.radians(rng.uniform(62, 118, k)))
+    r = scale * (rng.uniform(0.5, 1.5, k) if jagged else np.ones(k))
+    pts = [(0.0, 0.0)] + list(zip(r * np.cos(t), r * np.sin(t)))
+    fan = [(0, j, j + 1) for j in range(1, k)]
+    return triangulation_from_triangles(PointSet.from_pairs(pts), fan)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [wedge_violation_fixture]
+    + [
+        (lambda k=k, jagged=jagged: (arc_fan(k, jagged), None))
+        for k in (3, 4, 10, 30, 60)
+        for jagged in (False, True)
+    ]
+    # near 1e155 some of the products in an angle overflow: NaN angles
+    + [lambda: (arc_fan(10, jagged=True, scale=1e155), None)],
+    ids=["negative-control"]
+    + [f"{kind}-{k}" for k in (3, 4, 10, 30, 60) for kind in ("arc", "jagged")]
+    + ["nan-angles"],
+)
+def test_wedge_matches_cubic_reference(make):
+    T, _ = make()
+    assert audit_wedge_angles(T) == wedge_angles(T)
+
+
+def test_wedge_audit_quadratic_per_cone():
+    # 400 neighbours in one cone: the cubic scan took minutes here
+    T = arc_fan(400)
+    t0 = time.perf_counter()
+    v = audit_wedge_angles(T)
+    assert v.passed
+    assert time.perf_counter() - t0 < 10
 
 
 def shared_triangle_violation_fixture():

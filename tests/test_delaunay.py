@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import QhullError
 
 from conftest import random_points
-from oracles import dt_oracle
+from oracles import canonical_edges, dt_oracle
 from d8span import builder, delaunay
 from d8span.analysis import run_audits
 from d8span.builder import add_incident, construct_d8, sort_edges
@@ -26,6 +26,7 @@ from d8span.geometry import (
     in_circle,
     orient,
 )
+from d8span.pointio import RunConfig, generate
 
 
 def test_two_points_single_edge():
@@ -236,7 +237,7 @@ def _fan(pts, triangles):
     return triangulation_from_triangles(PointSet.from_pairs(pts), triangles)
 
 
-@pytest.mark.parametrize(
+_CONE_CASES = pytest.mark.parametrize(
     "make",
     [
         lambda: build_dt(PointSet.from_pairs([])),
@@ -246,6 +247,9 @@ def _fan(pts, triangles):
         lambda: build_dt(PointSet.from_pairs([(0, 0), (-1, 2)])),
         lambda: build_dt(PointSet.from_pairs([(0, 0), (4, 1), (1, 5)])),
         lambda: build_dt(random_points(11, 60)),
+        lambda: build_dt(
+            generate(RunConfig(n=300, seed=5, distribution="annulus"))
+        ),
         # three consecutive neighbours inside cone 0 of the origin
         lambda: _fan(
             [(0, 0), (-1.2, 4.1), (0.1, 5.3), (1.1, 3.9)], [(0, 1, 2), (0, 2, 3)]
@@ -262,12 +266,34 @@ def _fan(pts, triangles):
         ),
     ],
     ids=[
-        "n0", "n1", "n2-right", "n2-left", "n3", "random60",
+        "n0", "n1", "n2-right", "n2-left", "n3", "random60", "annulus",
         "fan", "fan-vertical", "hull-gap",
     ],
 )
+
+
+@_CONE_CASES
 def test_cones_match_oracle(make):
     _assert_cones_match_oracle(make())
+
+
+@_CONE_CASES
+def test_canonical_edges_match_oracle(make):
+    T = make()
+    for p in range(len(T.points)):
+        for i in range(6):
+            assert cone_neighbourhood(T, p, i).canonical_edges == canonical_edges(
+                T, p, i
+            )
+
+
+def test_canonical_mask_python_int_keys(monkeypatch):
+    # above 2**21 points the triangle keys leave int64 for Python ints
+    T = build_dt(random_points(11, 60))
+    monkeypatch.setattr(delaunay, "_INT64_KEYS", 0)
+    T2 = build_dt(random_points(11, 60))
+    assert T2._canon.tolist() == T._canon.tolist()
+    assert T._canon.any()
 
 
 def test_ring_is_clockwise():

@@ -6,15 +6,24 @@ report byte or witness path shows up here.  The report is pinned twice:
 without the stretch section and with it.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only for an intended output
 change, and say why in CHANGES.md.
+
+``FAILING`` pins the reports of selections the lemma audits reject: the
+negative controls of ``tests/test_analysis.py`` and a random selection on
+which three lemmas fail, at two different edges.  They pin each lemma's first
+counterexample.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+import test_analysis
+from conftest import random_points
 from d8span.analysis import run_audits, witness_path
-from d8span.builder import construct_d8
+from d8span.builder import EdgeSelection, construct_d8
 from d8span.cli import _serialize_edges
+from d8span.delaunay import build_dt
 from d8span.pointio import RunConfig, generate
 from d8span.report import report_json
 
@@ -71,6 +80,45 @@ CASES = {
 }
 
 
+def random_selection_fixture():
+    """A random 30 % of the Delaunay edges as E_A and the rest as E_CAN: the
+    canonical-path and anchor-cone lemmas fail at one selected edge, the
+    extremal-cone lemma at another."""
+    T = build_dt(random_points(114, 80))
+    edges = sorted(T.edges)
+    drawn = np.random.default_rng(114).random(len(edges)) < 0.3
+    e_a = frozenset(e for e, d in zip(edges, drawn) if d)
+    return T, EdgeSelection(e_a=e_a, e_can=frozenset(edges) - e_a)
+
+
+FAILING = {
+    "canonical_path": (
+        test_analysis.find_canonical_path_corruption,
+        "a878079a8eafb8fbedcf5ce1400acfb9b37fa29ede52ae6fd4788ce02aed6d26",
+    ),
+    "wedge_angle": (
+        test_analysis.wedge_violation_fixture,
+        "28c85d6a2414d4466760b3aa5aa8f00d11232c2320ee908e90a622b0b6ef52f4",
+    ),
+    "shared_triangle": (
+        test_analysis.shared_triangle_violation_fixture,
+        "8339c7f4fc6757a7968915c341828c34770dc94e73be5d79b639fd1d038c9a5a",
+    ),
+    "anchor_cones": (
+        test_analysis.anchor_cone_violation_fixture,
+        "f0c403225c420660424fae0c16b675247070f8e021a30aaa6a9cd63d889169d5",
+    ),
+    "extremal_cone": (
+        test_analysis.extremal_cone_violation_fixture,
+        "6e40045671a67c126003a93fc51ac577e526148d4af25e7572d859272fe820e9",
+    ),
+    "random_selection": (
+        random_selection_fixture,
+        "6b120a452d7c07793e630df1eec3db481aa832aa041e7b035e56571ff49c341c",
+    ),
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -107,9 +155,21 @@ def test_golden_output(case):
     assert digests(*case) == CASES[case]
 
 
+def failing_digest(name: str) -> str:
+    T, sel = FAILING[name][0]()
+    return _sha(report_json(run_audits(T, sel, with_stretch=False)))
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_golden_failing_report(name):
+    assert failing_digest(name) == FAILING[name][1]
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         print(f"    {case!r}: (")
         for d in digests(*case):
             print(f'        "{d}",')
         print("    ),")
+    for name in sorted(FAILING):
+        print(f"    {name!r}: {failing_digest(name)}")
