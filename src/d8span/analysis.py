@@ -22,7 +22,6 @@ from .geometry import (
     PointSet,
     bisector_distance,
     canonical_triangle,
-    cone_index,
     cone_indices,
     euclid,
 )
@@ -282,7 +281,7 @@ def witness_path(
         raise ConstructionError(f"witness recursion exceeded depth for ({p},{q})")
     if sel.has_d8_edge(p, q):
         return WitnessPath(p, q, [p, q], euclid(ps[p], ps[q]), ["direct"])
-    i = cone_index(ps[p], ps[q])
+    i = T.cone_of(p, q)
     lpq = bisector_distance(ps[p], ps[q])
     r = e_a_occupant(T, sel.e_a, p, i)
     if r is not None and bisector_distance(ps[p], ps[r]) <= lpq * (1 + BOUND_RTOL):
@@ -330,7 +329,7 @@ def _witness_from(T, sel, p, q, r, i, depth) -> WitnessPath:
             f"at {q}: edges {can.edges}"
         )
     y = y_expect
-    j = cone_index(ps[q], ps[y])
+    j = T.cone_of(q, y)
     rel = (j - i) % 6
     if sel.has_d8_edge(y, q):
         verts = [p] + _walk(T, sel, can, r, q)
@@ -406,7 +405,6 @@ def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
     """The canonical-path, anchor-cone and extremal-cone verdicts, from one
     pass that builds each oriented E_A edge's canonical subgraph once.  Each
     keeps its first counterexample in ``_oriented_e_a`` order."""
-    ps = T.points
     found: dict[str, dict] = {}
     for p, r in _oriented_e_a(sel, T):
         can = canonical_subgraph(T, p, r)
@@ -430,7 +428,7 @@ def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
             for y, z in (can.edges[-1], can.edges[0][::-1]):
                 if z == r or edge_key(p, z) in sel.e_a:
                     continue
-                if cone_index(ps[z], ps[y]) == i:
+                if T.cone_of(z, y) == i:
                     cx = {"apex": p, "anchor": r, "edge": (y, z), "cone": i}
                     found["extremal_cone"] = cx
                     break

@@ -4,6 +4,9 @@ full bounded-degree construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .delaunay import (
     CanonicalSubgraph,
@@ -14,28 +17,47 @@ from .delaunay import (
     cone_neighbourhood,
     edge_key,
 )
-from .geometry import PointSet, bisector_distance, cone_index
+from .geometry import CONE_BISECTORS, PointSet
 
 
-@dataclass(frozen=True)
-class SortedEdge:
-    edge: tuple[int, int]
-    length: float  # bisector length, symmetric in the endpoints
+class SortedEdges(NamedTuple):
+    """The triangulation's edges (u, v), u < v, by non-decreasing bisector
+    length, ties broken lexicographically on (u, v); ``cone`` is the cone of
+    u holding v."""
+
+    u: np.ndarray
+    v: np.ndarray
+    cone: np.ndarray
+    length: np.ndarray
 
 
-def sort_edges(T: Triangulation) -> list[SortedEdge]:
-    """All triangulation edges by non-decreasing bisector length, ties broken
-    lexicographically on the (min, max) vertex ids."""
-    ps = T.points
-    entries = [
-        SortedEdge(edge=e, length=bisector_distance(ps[e[0]], ps[e[1]]))
-        for e in T.edges
-    ]
-    entries.sort(key=lambda se: (se.length, se.edge))
-    return entries
+def sort_edges(T: Triangulation) -> SortedEdges:
+    """Every edge with its cone, read from the cone table, and its bisector
+    length ``bisector_in_cone`` computes, as arrays in sorted order."""
+    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    group = np.repeat(np.arange(6 * len(T.points)), T.cone_sizes())
+    src = group // 6
+    forward = src < nbr
+    u, v, cone = src[forward], nbr[forward], group[forward] % 6
+    del nbr, group, src, forward
+    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
+    ux, uy = np.array(CONE_BISECTORS)[cone].T
+    with np.errstate(over="ignore"):
+        dx, dy = xs[v] - xs[u], ys[v] - ys[u]
+        length = dx * ux + dy * uy
+    order = np.lexsort((v, u, length))
+    return SortedEdges(u[order], v[order], cone[order], length[order])
 
 
-def add_incident(T: Triangulation, L: list[SortedEdge]) -> set[tuple[int, int]]:
+class IncidentEdges(NamedTuple):
+    """The greedy selection: the accepted edges in sorted order, and at
+    6p + i the far end of the accepted edge leaving p into cone i, or -1."""
+
+    edges: list[tuple[int, int]]
+    occupant: list[int]
+
+
+def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
     """Greedy scan of the sorted edge list.
 
     An edge (p, q), with q in cone i of p, is accepted iff no already
@@ -43,18 +65,15 @@ def add_incident(T: Triangulation, L: list[SortedEdge]) -> set[tuple[int, int]]:
     into cone i+3.  At most one accepted edge per vertex-cone pair, hence
     degree at most 6.
     """
-    ps = T.points
-    occupied: set[tuple[int, int]] = set()  # (vertex, cone)
-    e_a: set[tuple[int, int]] = set()
-    for se in L:
-        p, q = se.edge
-        i = cone_index(ps[p], ps[q])
-        j = (i + 3) % 6
-        if (p, i) not in occupied and (q, j) not in occupied:
-            e_a.add(se.edge)
-            occupied.add((p, i))
-            occupied.add((q, j))
-    return e_a
+    occupant = [-1] * (6 * len(T.points))
+    edges: list[tuple[int, int]] = []
+    for p, q, i in zip(L.u.tolist(), L.v.tolist(), L.cone.tolist()):
+        sp, sq = 6 * p + i, 6 * q + (i + 3) % 6
+        if occupant[sp] < 0 and occupant[sq] < 0:
+            edges.append((p, q))
+            occupant[sp] = q
+            occupant[sq] = p
+    return IncidentEdges(edges, occupant)
 
 
 @dataclass(frozen=True)
@@ -91,20 +110,21 @@ def e_a_occupant(T: Triangulation, e_a, v: int, cone: int) -> int | None:
 
 def add_canonical(
     T: Triangulation,
-    e_a: set[tuple[int, int]],
+    occupant: list[int],
     p: int,
     r: int,
 ) -> list[tuple[tuple[int, int], Provenance]]:
-    """Edges contributed for the selected edge (p, r) with r in cone i of p.
+    """Edges contributed for the selected edge (p, r) with r in cone i of p;
+    ``occupant`` is ``add_incident``'s record of the selection.
 
     Cone indices below follow the construction stated for i = 0 and are
     rotated by i; the first extremal edge is handled with the mirrored cone
     indices of the last one.
     """
-    if edge_key(p, r) not in e_a:
-        raise ValueError(f"({p},{r}) not in the selected incident set")
     can = canonical_subgraph(T, p, r)
     i = can.cone
+    if occupant[6 * p + i] != r:
+        raise ValueError(f"({p},{r}) not in the selected incident set")
     out: list[tuple[tuple[int, int], Provenance]] = []
 
     # Step 2: all non-extremal canonical edges, when there are at least 3.
@@ -123,12 +143,14 @@ def add_canonical(
     # Step 4: the extremal edges.  A single canonical edge is both first and
     # last and is examined under both orientations.
     if can.edges:
-        _process_extremal(T, e_a, can, i, last=True, out=out)
-        _process_extremal(T, e_a, can, i, last=False, out=out)
+        _process_extremal(T, occupant, can, i, last=True, out=out)
+        _process_extremal(T, occupant, can, i, last=False, out=out)
     return out
 
 
-def _process_extremal(T, e_a, can: CanonicalSubgraph, i: int, *, last: bool, out):
+def _process_extremal(
+    T, occupant, can: CanonicalSubgraph, i: int, *, last: bool, out
+):
     """Step 4 for one extremal edge.
 
     For the last edge (y, z) the relevant cones of z are i+5 (add the edge),
@@ -136,7 +158,6 @@ def _process_extremal(T, e_a, can: CanonicalSubgraph, i: int, *, last: bool, out
     otherwise add the unique canonical edge of z with endpoint y there).  The
     first edge is the mirror image: cones i+1 and i+2.
     """
-    ps = T.points
     p, r = can.apex, can.anchor
     if last:
         y, z = can.edges[-1]
@@ -144,13 +165,13 @@ def _process_extremal(T, e_a, can: CanonicalSubgraph, i: int, *, last: bool, out
     else:
         z, y = can.edges[0]
         outer, inner = (i + 1) % 6, (i + 2) % 6
-    j = cone_index(ps[z], ps[y])
+    j = T.cone_of(z, y)
     prov = lambda step: Provenance(step, p, r, end_vertex=z, cone=j)
     if j == outer:
         out.append((edge_key(y, z), prov("4a")))
     elif j == inner:
-        u = e_a_occupant(T, e_a, z, inner)
-        if u is None:
+        u = occupant[6 * z + inner]
+        if u < 0:
             out.append((edge_key(y, z), prov("4b")))
         elif u == y:
             pass  # (y, z) is itself a selected incident edge; nothing to add
@@ -169,24 +190,23 @@ def _process_extremal(T, e_a, can: CanonicalSubgraph, i: int, *, last: bool, out
     # added for this end.
 
 
-def construct_d8(ps: PointSet) -> tuple[Triangulation, EdgeSelection]:
-    """Full construction: triangulation, sorted edge list, greedy incident
-    selection, then canonical completion from both endpoints of every
-    selected edge in sorted order."""
-    T = build_dt(ps)
-    L = sort_edges(T)
-    e_a = add_incident(T, L)
+def select_edges(T: Triangulation) -> EdgeSelection:
+    """Sorted edge list, greedy incident selection, then canonical
+    completion from both endpoints of every selected edge in sorted order."""
+    e_a, occupant = add_incident(T, sort_edges(T))
     e_can: set[tuple[int, int]] = set()
     provenance: dict[tuple[int, int], list[Provenance]] = {}
-    for se in L:
-        if se.edge not in e_a:
-            continue
-        p, q = se.edge
+    for p, q in e_a:
         for apex, anchor in ((p, q), (q, p)):
-            for edge, prov in add_canonical(T, e_a, apex, anchor):
+            for edge, prov in add_canonical(T, occupant, apex, anchor):
                 e_can.add(edge)
                 provenance.setdefault(edge, []).append(prov)
-    sel = EdgeSelection(
+    return EdgeSelection(
         e_a=frozenset(e_a), e_can=frozenset(e_can), provenance=provenance
     )
-    return T, sel
+
+
+def construct_d8(ps: PointSet) -> tuple[Triangulation, EdgeSelection]:
+    """Full construction: the triangulation, then ``select_edges``."""
+    T = build_dt(ps)
+    return T, select_edges(T)

@@ -9,24 +9,28 @@ rather than propagated.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import itertools
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .geometry import (
+    CONE_BISECTORS,
     GeneralPositionError,
+    Point,
     PointSet,
     Violation,
     bisector_in_cone,
     check_general_position,
-    cone_index_dir,
     cone_indices,
-    in_circle,
+    in_circle_signs,
     orient,
+    orient_signs,
 )
 
 
@@ -44,31 +48,53 @@ class Triangulation:
     points: PointSet
     edges: frozenset[tuple[int, int]]
     triangles: tuple[tuple[int, int, int], ...]  # sorted triples
-    # Cone table: the far ends of the 2E oriented edges grouped by (vertex,
-    # cone), clockwise within a group; group 6p + i is
-    # _nbr[_start[6p + i]:_start[6p + i + 1]].  _canon[k] marks the
-    # canonical edge (_nbr[k], _nbr[k + 1]) of its group.
-    _nbr: np.ndarray = field(init=False, repr=False, compare=False)
-    _start: np.ndarray = field(init=False, repr=False, compare=False)
-    _canon: np.ndarray = field(init=False, repr=False, compare=False)
+    # ``triangles`` as an (m, 3) int64 array, when the caller has one
+    _tri: InitVar[np.ndarray | None] = None
+    # Cone table, as C int arrays Python indexes cheaply: the far ends of
+    # the 2E oriented edges grouped by (vertex, cone), clockwise within a
+    # group; group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].
+    # _canon[k] is 1 for the canonical edge (_nbr[k], _nbr[k + 1]) of its
+    # group.
+    _nbr: array = field(init=False, repr=False, compare=False)
+    _start: array = field(init=False, repr=False, compare=False)
+    _canon: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        nbr, start = _cone_table(self.points, self.edges)
-        object.__setattr__(self, "_nbr", nbr)
-        object.__setattr__(self, "_start", start)
-        object.__setattr__(self, "_canon", _canonical_mask(self.triangles, nbr, start))
+    def __post_init__(self, tri):
+        if tri is None:
+            tri = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
+        nbr, start = _cone_table(self.points, _edge_keys(tri, len(self.points)))
+        canon = _canonical_mask(tri, nbr, start)
+        object.__setattr__(self, "_canon", canon.tobytes())
+        object.__setattr__(self, "_nbr", array("i", nbr.astype(np.intc).tobytes()))
+        object.__setattr__(self, "_start", array("i", start.astype(np.intc).tobytes()))
 
     def cone(self, p: int, i: int) -> tuple[int, ...]:
         """Neighbours of p in cone i, in clockwise order."""
         g = 6 * p + i
-        return tuple(self._nbr[self._start[g] : self._start[g + 1]].tolist())
+        return tuple(self._nbr[self._start[g] : self._start[g + 1]])
+
+    def cone_of(self, p: int, q: int) -> int:
+        """The cone of p holding its neighbour q."""
+        start = self._start
+        k = self._nbr.index(q, start[6 * p], start[6 * p + 6])
+        return bisect.bisect_right(start, k, 6 * p, 6 * p + 6) - 1 - 6 * p
 
     def cone_sizes(self) -> np.ndarray:
         """Number of neighbours in each cone, at index 6p + i."""
-        return np.diff(self._start)
+        return np.diff(np.frombuffer(self._start, dtype=np.intc))
 
     def is_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
+
+
+def _edge_keys(tri: np.ndarray, n: int) -> np.ndarray:
+    """Sorted keys u * n + v of the sides (u, v), u < v, of the sorted
+    triangles, plus the one edge of a two-point set."""
+    keys = [tri[:, a] * n + tri[:, b] for a, b in ((0, 1), (0, 2), (1, 2))]
+    if n == 2:
+        keys.append(np.ones(1, dtype=np.int64))
+    keys = np.sort(np.concatenate(keys))
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 #: Oriented edges classified per block in ``_cone_table`` and
@@ -76,32 +102,42 @@ class Triangulation:
 _CLASSIFY_BLOCK = 1 << 14
 
 
-def _cone_table(ps: PointSet, edges) -> tuple[np.ndarray, np.ndarray]:
+def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classify each oriented edge's cone once and group the far ends by
-    (vertex, cone).  A cone spans 60 degrees, so the exact orientation test
-    orders each group clockwise."""
-    n, m = len(ps), len(edges)
-    ends = np.fromiter(
-        itertools.chain.from_iterable(edges), dtype=np.int32, count=2 * m
-    ).reshape(m, 2)
-    src = ends.T.ravel()  # u of every (u, v), then v
-    dst = ends[:, ::-1].T.ravel()
-    del ends
+    (vertex, cone), clockwise within a group.
+
+    A float key, the tangent of the clockwise angle from the cone's
+    bisector, orders the groups; exact ``orient`` then checks each
+    consecutive pair.  A cone spans 60 degrees, so orientation orders a
+    group totally, and a group is re-sorted by it only when a pair fails."""
+    n = len(ps)
+    u, v = np.divmod(keys, n)
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    del u, v
     xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
     group = 6 * src
-    for k in range(0, 2 * m, _CLASSIFY_BLOCK):
+    turn = np.empty(len(src))
+    for k in range(0, len(src), _CLASSIFY_BLOCK):
         block = slice(k, k + _CLASSIFY_BLOCK)
         s, d = src[block], dst[block]
-        with np.errstate(over="ignore"):
-            group[block] += cone_indices(xs[d] - xs[s], ys[d] - ys[s])
+        with np.errstate(all="ignore"):
+            dx, dy = xs[d] - xs[s], ys[d] - ys[s]
+            cone = cone_indices(dx, dy)
+            ux, uy = np.array(CONE_BISECTORS)[cone].T
+            turn[block] = (dx * uy - dy * ux) / (dx * ux + dy * uy)
+        group[block] += cone
     del src
-    nbr = dst[np.argsort(group, kind="stable")]
-    start = np.zeros(6 * n + 1, dtype=np.int32)
+    order = np.lexsort((turn, group))
+    nbr, group = dst[order], group[order]
+    del dst, turn, order
+    start = np.zeros(6 * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(group, minlength=6 * n), out=start[1:])
-    for g in np.flatnonzero(np.diff(start) > 1).tolist():
+    # v precedes w clockwise iff w lies right of apex -> v
+    k = np.flatnonzero(group[1:] == group[:-1])
+    clockwise = orient_signs(xs, ys, group[k] // 6, nbr[k], nbr[k + 1]) < 0
+    for g in np.unique(group[k[~clockwise]]).tolist():
         lo, hi = start[g], start[g + 1]
         apex = ps[g // 6]
-        # v precedes w clockwise iff w lies right of apex -> v
         cw = functools.cmp_to_key(lambda v, w: orient(apex, ps[v], ps[w]))
         nbr[lo:hi] = sorted(nbr[lo:hi].tolist(), key=cw)
     return nbr, start
@@ -111,13 +147,15 @@ def _cone_table(ps: PointSet, edges) -> tuple[np.ndarray, np.ndarray]:
 _INT64_KEYS = 1 << 21
 
 
-def _canonical_mask(triangles, nbr: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _canonical_mask(
+    triangles: np.ndarray, nbr: np.ndarray, start: np.ndarray
+) -> np.ndarray:
     """Entry k is true when nbr[k] and nbr[k + 1] lie in one (vertex, cone)
     group and form a triangle with its vertex.  Membership is a lookup among
-    the sorted keys of the triangles, so no coordinate is read."""
+    the sorted keys of the sorted triangles, so no coordinate is read."""
     n = (len(start) - 1) // 6
     dtype = np.int64 if n < _INT64_KEYS else object
-    t = np.array(triangles, dtype=dtype).reshape(-1, 3)
+    t = triangles.astype(dtype)
     # n**3 exceeds every key, so each search lands inside the array
     keys = np.append(np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2]), n**3)
     mask = np.zeros(len(nbr), dtype=bool)
@@ -144,63 +182,106 @@ def certify_delaunay(ps: PointSet, triangles) -> None:
     vertex inside raises ``ConstructionError``; with none inside, one on
     the circle means four points on an empty circle, which leave the
     Delaunay triangulation non-unique, and raises ``GeneralPositionError``.
+
+    The predicates run as array filters with the exact fallback, and each
+    failure is the first one a scan of the triangles in order would meet.
     """
-    n, P = len(ps), list(ps)
-    left: dict[tuple[int, int], int] = {}  # directed edge -> apex on its left
-    for tri in triangles:
-        a, b, c = tri
-        s = orient(P[a], P[b], P[c])
-        if s == 0:
-            raise ConstructionError(f"triangle {tri} is degenerate")
-        if s < 0:
-            b, c = c, b
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            if (u, v) in left:
-                raise ConstructionError(
-                    f"directed edge {(u, v)} borders two triangles"
-                )
-            left[u, v] = w
-    missing = sorted(set(range(n)).difference(u for u, _ in left))
+    n = len(ps)
+    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    a, b, c = tri.T
+    s = orient_signs(xs, ys, a, b, c)
+    b, c = np.where(s < 0, c, b), np.where(s < 0, b, c)
+    # the directed edges u -> v with the apex w on their left, in scan order
+    u = np.stack([a, b, c], axis=1).ravel()
+    v = np.stack([b, c, a], axis=1).ravel()
+    w = np.stack([c, a, b], axis=1).ravel()
+    del a, b, c
+    key = u * n + v
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    first = repeats.min() if len(repeats) else len(key)
+    degenerate = np.flatnonzero(s == 0)
+    if len(degenerate) and 3 * degenerate[0] <= first:
+        bad = tuple(tri[degenerate[0]].tolist())
+        raise ConstructionError(f"triangle {bad} is degenerate")
+    if len(repeats):
+        edge = (int(u[first]), int(v[first]))
+        raise ConstructionError(f"directed edge {edge} borders two triangles")
+    missing = np.flatnonzero(np.bincount(u, minlength=n)[:n] == 0)[:10].tolist()
     if missing:
-        raise ConstructionError(f"points in no triangle: {tuple(missing[:10])}")
-    hull = _convex_hull(P)
+        raise ConstructionError(f"points in no triangle: {tuple(missing)}")
+    hull = np.array(_convex_hull(xs, ys), dtype=np.int64)
     h = len(hull)
-    boundary = {e for e in left if e[::-1] not in left}
-    if boundary != set(zip(hull, hull[1:] + hull[:1])):
+    # each directed edge's twin among the sorted keys; n * n exceeds every
+    # key, so each search lands inside the array
+    twin = v * n + u
+    ranked = np.append(ranked, n * n)
+    at = np.searchsorted(ranked, twin)
+    has_twin = ranked[at] == twin
+    del twin, ranked
+    if not np.array_equal(
+        np.sort(key[~has_twin]), np.unique(hull * n + np.roll(hull, -1))
+    ):
         raise ConstructionError("the triangulation's boundary is not the convex hull")
-    if len(triangles) != 2 * n - 2 - h:
-        raise ConstructionError(f"{len(triangles)} triangles for n={n}, h={h}")
-    cocircular = []
-    for (u, v), w in left.items():
-        x = left.get((v, u))
-        if u > v or x is None:
-            continue
-        s = in_circle(P[u], P[v], P[w], P[x])
-        if s > 0:
-            raise ConstructionError(
-                f"edge {(u, v)} is not Delaunay: point {x} inside the "
-                f"circumcircle of {(u, v, w)}"
-            )
-        if s == 0:
-            cocircular.append(Violation("cocircular", tuple(sorted((u, v, w, x)))))
+    if len(tri) != 2 * n - 2 - h:
+        raise ConstructionError(f"{len(tri)} triangles for n={n}, h={h}")
+    inner = np.flatnonzero(has_twin & (u < v))
+    u, v, w, x = u[inner], v[inner], w[inner], w[order[at[inner]]]
+    del key, order, at, has_twin, inner
+    s = in_circle_signs(xs, ys, u, v, w, x)
+    inside = np.flatnonzero(s > 0)
+    if len(inside):
+        j = inside[0]
+        uu, vv, ww, xx = (int(e[j]) for e in (u, v, w, x))
+        raise ConstructionError(
+            f"edge {(uu, vv)} is not Delaunay: point {xx} inside the "
+            f"circumcircle of {(uu, vv, ww)}"
+        )
+    cocircular = [
+        Violation("cocircular", tuple(sorted(int(e[j]) for e in (u, v, w, x))))
+        for j in np.flatnonzero(s == 0).tolist()
+    ]
     if cocircular:
         raise GeneralPositionError(sorted(cocircular, key=lambda c: c.ids))
 
 
-def _convex_hull(P) -> list[int]:
+def _convex_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     """Ids of the hull's points counter-clockwise, those inside its edges
-    included (Andrew's monotone chain on exact ``orient``)."""
-    order = sorted(range(len(P)), key=lambda i: (P[i].x, P[i].y))
+    included (Andrew's monotone chain on exact ``orient``).
 
-    def chain(ids):
-        out: list[int] = []
-        for i in ids:
-            while len(out) >= 2 and orient(P[out[-2]], P[out[-1]], P[i]) < 0:
+    The chain skips the points that an Akl-Toussaint test places strictly
+    inside the polygon through the extreme points in eight directions.  The
+    test is exact ``orient`` against each polygon edge: a point strictly
+    left of every edge of a closed polygon through points of the set winds
+    inside it, so it lies strictly inside their hull."""
+    ids = np.arange(len(xs))
+    if len(xs):
+        with np.errstate(over="ignore"):
+            d, e = xs + ys, ys - xs
+        # the extreme points west, south-west, ..., north-west, in
+        # counter-clockwise order
+        ring = [int(np.argmin(z)) for z in (xs, d, ys, e)]
+        ring += [int(np.argmax(z)) for z in (xs, d, ys, e)]
+        poly = [p for k, p in enumerate(ring) if p != ring[k - 1]]
+        inside = ids
+        for k in range(len(poly) if len(set(poly)) > 2 else 0):
+            ends = [np.full(len(inside), p) for p in (poly[k - 1], poly[k])]
+            inside = inside[orient_signs(xs, ys, *ends, inside) > 0]
+        ids = np.setdiff1d(ids, inside, assume_unique=True)
+    ids = ids[np.lexsort((ys[ids], xs[ids]))]
+    P = list(map(Point, ids.tolist(), xs[ids].tolist(), ys[ids].tolist()))
+
+    def chain(points):
+        out: list[Point] = []
+        for p in points:
+            while len(out) >= 2 and orient(out[-2], out[-1], p) < 0:
                 out.pop()
-            out.append(i)
+            out.append(p)
         return out[:-1]
 
-    return chain(order) + chain(reversed(order))
+    return [p.id for p in chain(P) + chain(reversed(P))]
 
 
 def build_dt(ps: PointSet) -> Triangulation:
@@ -232,24 +313,24 @@ def build_dt(ps: PointSet) -> Triangulation:
         raise ConstructionError(
             f"Qhull failed on {n} points that are not all collinear: {reason}"
         ) from exc
-    triangles = tuple(map(tuple, np.sort(tri.simplices, axis=1).tolist()))
+    triangles = np.sort(tri.simplices, axis=1)
+    del tri
     certify_delaunay(ps, triangles)
     return triangulation_from_triangles(ps, triangles)
 
 
 def triangulation_from_triangles(ps: PointSet, triangles) -> Triangulation:
-    """Assemble a Triangulation from an explicit triangle list: its edges are
-    the triangles' sides, plus the one edge of a two-point set.
+    """Assemble a Triangulation from an explicit triangle list or (m, 3) int
+    array: its edges are the triangles' sides, plus the one edge of a
+    two-point set.
 
     No Delaunay property is checked here; ``build_dt`` checks before it
     assembles, and hand-built fixtures and negative controls need not."""
-    tris = tuple(tuple(sorted(t)) for t in triangles)
-    edges = set()
-    for a, b, c in tris:
-        edges.update([(a, b), (a, c), (b, c)])
-    if len(ps) == 2:
-        edges.add((0, 1))
-    return Triangulation(ps, frozenset(edges), tris)
+    n = len(ps)
+    tri = np.sort(np.asarray(triangles, dtype=np.int64).reshape(-1, 3), axis=1)
+    u, v = np.divmod(_edge_keys(tri, n), n)
+    edges = frozenset(zip(u.tolist(), v.tolist()))
+    return Triangulation(ps, edges, tuple(zip(*(c.tolist() for c in tri.T))), tri)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +346,20 @@ class ConeNeighbourhood:
 
 
 def cone_neighbourhood(T: Triangulation, p: int, i: int) -> ConeNeighbourhood:
-    lo, hi = T._start[6 * p + i], T._start[6 * p + i + 1]
-    ring = T._nbr[lo : hi + 1].tolist()  # the group and the entry after it
+    g = 6 * p + i
+    lo, hi = T._start[g], T._start[g + 1]
+    ring = T._nbr[lo : hi + 1]  # the group and the entry after it
     canon = tuple(
-        (ring[k], ring[k + 1]) for k, c in enumerate(T._canon[lo:hi].tolist()) if c
+        (ring[k], ring[k + 1]) for k, c in enumerate(T._canon[lo:hi]) if c
     )
     return ConeNeighbourhood(
         apex=p, cone=i, vertices=tuple(ring[: hi - lo]), canonical_edges=canon
     )
 
 
-@dataclass(frozen=True)
-class CanonicalSubgraph:
+class CanonicalSubgraph(NamedTuple):
+    # a NamedTuple: the builder and the audits each make one per oriented
+    # E_A edge, and it is cheaper to create than a frozen dataclass
     apex: int
     anchor: int
     cone: int
@@ -303,22 +386,24 @@ def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
     with its surviving canonical edges."""
     if not T.is_edge(p, r):
         raise ValueError(f"({p},{r}) is not a triangulation edge")
+    i = T.cone_of(p, r)
+    lo, hi = T._start[6 * p + i], T._start[6 * p + i + 1]
+    if hi - lo == 1:  # r alone in its cone: no threshold to apply
+        return CanonicalSubgraph(p, r, i, (r,), ())
     xs, ys = T.points.xs, T.points.ys
     px, py = xs[p], ys[p]
-    dx, dy = xs[r] - px, ys[r] - py
-    i = cone_index_dir(dx, dy)
-    nb = cone_neighbourhood(T, p, i)
-    threshold = bisector_in_cone(dx, dy, i)
+    threshold = bisector_in_cone(xs[r] - px, ys[r] - py, i)
+    nbr, canon = T._nbr, T._canon
     keep = [
         v
-        for v in nb.vertices
+        for v in nbr[lo:hi]
         if v == r or bisector_in_cone(xs[v] - px, ys[v] - py, i) >= threshold
     ]
     keep_set = set(keep)
     edges = tuple(
-        (u, v)
-        for u, v in nb.canonical_edges
-        if u in keep_set and v in keep_set
+        (nbr[k], nbr[k + 1])
+        for k in range(lo, hi)
+        if canon[k] and nbr[k] in keep_set and nbr[k + 1] in keep_set
     )
     return CanonicalSubgraph(
         apex=p, anchor=r, cone=i, vertices=tuple(keep), edges=edges

@@ -163,6 +163,89 @@ def _in_circle_exact(a, b, c, d) -> int:
     return _sign(det)
 
 
+#: Entries evaluated per block by the array predicates, so that their
+#: temporaries stay small.
+_PREDICATE_BLOCK = 1 << 14
+
+
+def _filtered_signs(det, bound) -> tuple[np.ndarray, np.ndarray]:
+    """Signs of det as int8 where |det| > bound decides them, with the
+    undecided entries: overflow and NaN fail the test, so they are among
+    them."""
+    decided = np.abs(det) > bound
+    signs = (det > 0).astype(np.int8) - (det < 0)
+    return signs, np.flatnonzero(~decided)
+
+
+def orient_signs(xs, ys, a, b, c) -> np.ndarray:
+    """``orient`` of each (a[k], b[k], c[k]), ids into the float arrays xs and
+    ys, as int8.  The same static filter, evaluated the same way, decides
+    each entry; only the entries it leaves undecided go to ``orient``."""
+    out = np.empty(len(a), dtype=np.int8)
+    for lo in range(0, len(a), _PREDICATE_BLOCK):
+        k = slice(lo, lo + _PREDICATE_BLOCK)
+        ia, ib, ic = a[k], b[k], c[k]
+        ax, ay, bx, by, cx, cy = xs[ia], ys[ia], xs[ib], ys[ib], xs[ic], ys[ic]
+        with np.errstate(over="ignore", invalid="ignore"):
+            detleft = (ax - cx) * (by - cy)
+            detright = (ay - cy) * (bx - cx)
+            det = detleft - detright
+            detsum = np.abs(detleft) + np.abs(detright)
+            signs, undecided = _filtered_signs(det, _ORIENT_BOUND * detsum)
+        for j in undecided.tolist():
+            p, q, r = int(ia[j]), int(ib[j]), int(ic[j])
+            signs[j] = orient(
+                Point(p, float(xs[p]), float(ys[p])),
+                Point(q, float(xs[q]), float(ys[q])),
+                Point(r, float(xs[r]), float(ys[r])),
+            )
+        out[k] = signs
+    return out
+
+
+def in_circle_signs(xs, ys, a, b, c, d) -> np.ndarray:
+    """``in_circle`` of each (a[k], b[k], c[k], d[k]), ids into the float
+    arrays xs and ys, as int8.  The same static filter, evaluated the same
+    way, decides each entry; only the entries it leaves undecided go to
+    ``_in_circle_exact``."""
+    out = np.empty(len(a), dtype=np.int8)
+    for lo in range(0, len(a), _PREDICATE_BLOCK):
+        k = slice(lo, lo + _PREDICATE_BLOCK)
+        ids = a[k], b[k], c[k], d[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx, dy = xs[ids[3]], ys[ids[3]]
+            adx, ady = xs[ids[0]] - dx, ys[ids[0]] - dy
+            bdx, bdy = xs[ids[1]] - dx, ys[ids[1]] - dy
+            cdx, cdy = xs[ids[2]] - dx, ys[ids[2]] - dy
+            bdxcdy = bdx * cdy
+            cdxbdy = cdx * bdy
+            alift = adx * adx + ady * ady
+            cdxady = cdx * ady
+            adxcdy = adx * cdy
+            blift = bdx * bdx + bdy * bdy
+            adxbdy = adx * bdy
+            bdxady = bdx * ady
+            clift = cdx * cdx + cdy * cdy
+            det = (
+                alift * (bdxcdy - cdxbdy)
+                + blift * (cdxady - adxcdy)
+                + clift * (adxbdy - bdxady)
+            )
+            permanent = (
+                (np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
+                + (np.abs(cdxady) + np.abs(adxcdy)) * blift
+                + (np.abs(adxbdy) + np.abs(bdxady)) * clift
+            )
+            signs, undecided = _filtered_signs(det, _INCIRCLE_BOUND * permanent)
+        for j in undecided.tolist():
+            pts = [int(i[j]) for i in ids]
+            signs[j] = _in_circle_exact(
+                *(Point(p, float(xs[p]), float(ys[p])) for p in pts)
+            )
+        out[k] = signs
+    return out
+
+
 def _cmp_sq3(dy: float, dx: float) -> int:
     """Exact comparison of dy^2 against 3*dx^2."""
     lhs = dy * dy

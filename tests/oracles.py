@@ -1,19 +1,41 @@
-"""Brute-force reference oracles the test suite checks the library against.
+"""Reference oracles the test suite checks the library against.
 
 None is used by the library: ``build_dt`` certifies its triangulation
 locally, a subset of a certified triangulation is plane, the cone table marks
 canonical edges with a vectorised lookup, and the wedge-angle audit is
-quadratic per cone.  These recompute the same facts from their definitions.
+quadratic per cone.  The brute-force oracles recompute the same facts from
+their definitions.  The scalar references (``reference_certify``,
+``reference_selection``) are the construction as it ran before it moved to
+arrays: one predicate call per triangle, edge or vertex, on ``Point``
+objects.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from d8span.analysis import AuditVerdict, _angle
-from d8span.delaunay import Triangulation, triangulation_from_triangles
-from d8span.geometry import in_circle, orient
+from d8span.builder import EdgeSelection, Provenance, e_a_occupant
+from d8span.delaunay import (
+    CanonicalSubgraph,
+    ConstructionError,
+    Triangulation,
+    cone_neighbourhood,
+    edge_key,
+    triangulation_from_triangles,
+)
+from d8span.geometry import (
+    GeneralPositionError,
+    Violation,
+    bisector_distance,
+    bisector_in_cone,
+    cone_index,
+    cone_index_dir,
+    in_circle,
+    orient,
+)
 
 
 def _circumcircle(a, b, c) -> tuple[float, float, float]:
@@ -137,3 +159,185 @@ def wedge_angles(T) -> AuditVerdict:
                         {"apex": p, "cone": i, "triple": (a, x, b), "angle": ang},
                     )
     return AuditVerdict("wedge_angle", True)
+
+
+# ---------------------------------------------------------------------------
+# Scalar references
+
+
+def reference_hull(ps) -> list[int]:
+    """Andrew's monotone chain on exact ``orient`` over every point."""
+    P = list(ps)
+    order = sorted(range(len(P)), key=lambda i: (P[i].x, P[i].y))
+
+    def chain(ids):
+        out: list[int] = []
+        for i in ids:
+            while len(out) >= 2 and orient(P[out[-2]], P[out[-1]], P[i]) < 0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    return chain(order) + chain(reversed(order))
+
+
+def reference_certify(ps, triangles) -> None:
+    """``certify_delaunay`` as a scan: a dict of directed edges, one
+    ``orient`` per triangle and one ``in_circle`` per interior edge."""
+    n, P = len(ps), list(ps)
+    left: dict[tuple[int, int], int] = {}  # directed edge -> apex on its left
+    for tri in triangles:
+        a, b, c = tri
+        s = orient(P[a], P[b], P[c])
+        if s == 0:
+            raise ConstructionError(f"triangle {tri} is degenerate")
+        if s < 0:
+            b, c = c, b
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            if (u, v) in left:
+                raise ConstructionError(
+                    f"directed edge {(u, v)} borders two triangles"
+                )
+            left[u, v] = w
+    missing = sorted(set(range(n)).difference(u for u, _ in left))
+    if missing:
+        raise ConstructionError(f"points in no triangle: {tuple(missing[:10])}")
+    hull = reference_hull(ps)
+    h = len(hull)
+    boundary = {e for e in left if e[::-1] not in left}
+    if boundary != set(zip(hull, hull[1:] + hull[:1])):
+        raise ConstructionError("the triangulation's boundary is not the convex hull")
+    if len(triangles) != 2 * n - 2 - h:
+        raise ConstructionError(f"{len(triangles)} triangles for n={n}, h={h}")
+    cocircular = []
+    for (u, v), w in left.items():
+        x = left.get((v, u))
+        if u > v or x is None:
+            continue
+        s = in_circle(P[u], P[v], P[w], P[x])
+        if s > 0:
+            raise ConstructionError(
+                f"edge {(u, v)} is not Delaunay: point {x} inside the "
+                f"circumcircle of {(u, v, w)}"
+            )
+        if s == 0:
+            cocircular.append(Violation("cocircular", tuple(sorted((u, v, w, x)))))
+    if cocircular:
+        raise GeneralPositionError(sorted(cocircular, key=lambda c: c.ids))
+
+
+@dataclass(frozen=True)
+class SortedEdge:
+    edge: tuple[int, int]
+    length: float  # bisector length, symmetric in the endpoints
+
+
+def reference_sort(T) -> list[SortedEdge]:
+    """Every edge by (bisector length, edge), one ``bisector_distance`` each."""
+    ps = T.points
+    entries = [
+        SortedEdge(edge=e, length=bisector_distance(ps[e[0]], ps[e[1]]))
+        for e in T.edges
+    ]
+    entries.sort(key=lambda se: (se.length, se.edge))
+    return entries
+
+
+def reference_incident(T, L) -> set[tuple[int, int]]:
+    """The greedy scan with one ``cone_index`` per edge."""
+    ps = T.points
+    occupied: set[tuple[int, int]] = set()  # (vertex, cone)
+    e_a: set[tuple[int, int]] = set()
+    for se in L:
+        p, q = se.edge
+        i = cone_index(ps[p], ps[q])
+        j = (i + 3) % 6
+        if (p, i) not in occupied and (q, j) not in occupied:
+            e_a.add(se.edge)
+            occupied.add((p, i))
+            occupied.add((q, j))
+    return e_a
+
+
+def reference_subgraph(T, p: int, r: int) -> CanonicalSubgraph:
+    """The canonical subgraph from ``cone_index_dir`` and the cone
+    neighbourhood, thresholded on ``bisector_in_cone``."""
+    xs, ys = T.points.xs, T.points.ys
+    px, py = xs[p], ys[p]
+    dx, dy = xs[r] - px, ys[r] - py
+    i = cone_index_dir(dx, dy)
+    nb = cone_neighbourhood(T, p, i)
+    threshold = bisector_in_cone(dx, dy, i)
+    keep = [
+        v
+        for v in nb.vertices
+        if v == r or bisector_in_cone(xs[v] - px, ys[v] - py, i) >= threshold
+    ]
+    edges = tuple(
+        (u, v) for u, v in nb.canonical_edges if u in keep and v in keep
+    )
+    return CanonicalSubgraph(p, r, i, tuple(keep), edges)
+
+
+def _reference_canonical(T, e_a, p: int, r: int) -> list:
+    can = reference_subgraph(T, p, r)
+    i = can.cone
+    out = []
+    if len(can.edges) >= 3:
+        for s, t in can.edges[1:-1]:
+            out.append((edge_key(s, t), Provenance("2", p, r)))
+    if len(can.edges) > 1:
+        if r == can.first_vertex:
+            out.append((edge_key(*can.edges[0]), Provenance("3", p, r)))
+        elif r == can.last_vertex:
+            out.append((edge_key(*can.edges[-1]), Provenance("3", p, r)))
+    if can.edges:
+        _reference_extremal(T, e_a, can, i, last=True, out=out)
+        _reference_extremal(T, e_a, can, i, last=False, out=out)
+    return out
+
+
+def _reference_extremal(T, e_a, can, i: int, *, last: bool, out) -> None:
+    ps = T.points
+    p, r = can.apex, can.anchor
+    if last:
+        y, z = can.edges[-1]
+        outer, inner = (i + 5) % 6, (i + 4) % 6
+    else:
+        z, y = can.edges[0]
+        outer, inner = (i + 1) % 6, (i + 2) % 6
+    j = cone_index(ps[z], ps[y])
+    prov = lambda step: Provenance(step, p, r, end_vertex=z, cone=j)
+    if j == outer:
+        out.append((edge_key(y, z), prov("4a")))
+    elif j == inner:
+        u = e_a_occupant(T, e_a, z, inner)
+        if u is None:
+            out.append((edge_key(y, z), prov("4b")))
+        elif u != y:
+            nb = cone_neighbourhood(T, z, inner)
+            candidates = [e for e in nb.canonical_edges if y in e]
+            if len(candidates) != 1:
+                raise ConstructionError(
+                    f"expected exactly one canonical edge of {z} with endpoint "
+                    f"{y} in cone {inner}; found {candidates} "
+                    f"(apex {p}, anchor {r}, subgraph {can.vertices})"
+                )
+            out.append((edge_key(*candidates[0]), prov("4c")))
+
+
+def reference_selection(T) -> EdgeSelection:
+    """E_A, E_CAN and the provenance lists, edge by edge on ``Point``s."""
+    L = reference_sort(T)
+    e_a = reference_incident(T, L)
+    e_can: set[tuple[int, int]] = set()
+    provenance: dict = {}
+    for se in L:
+        if se.edge not in e_a:
+            continue
+        p, q = se.edge
+        for apex, anchor in ((p, q), (q, p)):
+            for edge, prov in _reference_canonical(T, e_a, apex, anchor):
+                e_can.add(edge)
+                provenance.setdefault(edge, []).append(prov)
+    return EdgeSelection(frozenset(e_a), frozenset(e_can), provenance)

@@ -2,15 +2,18 @@ import math
 
 import pytest
 
-from conftest import random_points
+from conftest import arc_fan, random_points
+from oracles import reference_selection, reference_sort
 from d8span.builder import (
     add_canonical,
     add_incident,
     construct_d8,
+    select_edges,
     sort_edges,
 )
 from d8span.delaunay import build_dt, canonical_subgraph, edge_key
 from d8span.geometry import PointSet, bisector_distance, cone_index
+from d8span.pointio import RunConfig, generate
 
 
 def _degrees(n, edges):
@@ -36,19 +39,32 @@ def test_sorted_edges_cover_dt_nondecreasing():
     ps = random_points(2, 30)
     T = build_dt(ps)
     L = sort_edges(T)
-    assert sorted(se.edge for se in L) == sorted(T.edges)
-    lengths = [se.length for se in L]
+    edges = list(zip(L.u.tolist(), L.v.tolist()))
+    assert sorted(edges) == sorted(T.edges)
+    lengths = L.length.tolist()
     assert lengths == sorted(lengths)
-    # lengths match a direct recomputation
-    for se in L:
-        u, v = se.edge
-        assert se.length == bisector_distance(ps[u], ps[v])
+    # cones and lengths match a direct recomputation, bit for bit
+    for (u, v), i, length in zip(edges, L.cone.tolist(), lengths):
+        assert i == cone_index(ps[u], ps[v])
+        assert length == bisector_distance(ps[u], ps[v])
+
+
+def _assert_reference_order(ps):
+    T = build_dt(ps)
+    L = sort_edges(T)
+    assert list(zip(L.u.tolist(), L.v.tolist())) == [
+        se.edge for se in reference_sort(T)
+    ]
 
 
 def test_sorted_edges_tie_break_deterministic():
-    ps = random_points(3, 30)
-    T = build_dt(ps)
-    assert sort_edges(T) == sort_edges(T)
+    _assert_reference_order(random_points(3, 30))
+
+
+def test_sorted_edges_exact_tie_broken_on_ids():
+    # hull edges (0, 3) and (1, 2) are vertical with bisector length 1:
+    # they tie, and (0, 3) comes first on its smaller id u
+    _assert_reference_order(PointSet.from_pairs([(0, 0), (5, 0.5), (5, 1.5), (0, 1)]))
 
 
 def _add_incident_reference(T):
@@ -83,7 +99,7 @@ def _add_incident_reference(T):
 def test_add_incident_matches_reference(seed):
     ps = random_points(seed + 200, 5 + (seed * 11) % 70)
     T = build_dt(ps)
-    assert add_incident(T, sort_edges(T)) == _add_incident_reference(T)
+    assert set(add_incident(T, sort_edges(T)).edges) == _add_incident_reference(T)
 
 
 def test_add_incident_two_competitors_in_one_cone():
@@ -94,7 +110,7 @@ def test_add_incident_two_competitors_in_one_cone():
     assert cone_index(ps[0], ps[1]) == 0
     assert cone_index(ps[0], ps[2]) == 0
     T = build_dt(ps)
-    e_a = add_incident(T, sort_edges(T))
+    e_a = set(add_incident(T, sort_edges(T)).edges)
     at_p_cone0 = [
         e
         for e in e_a
@@ -140,9 +156,13 @@ def test_d8_subset_of_dt():
 def test_add_canonical_requires_selected_edge():
     ps = random_points(5, 30)
     T, sel = construct_d8(ps)
+    occupant = add_incident(T, sort_edges(T)).occupant
     outside = next(iter(T.edges - sel.e_a))
-    with pytest.raises(ValueError):
-        add_canonical(T, sel.e_a, *outside)
+    with pytest.raises(ValueError, match="not in the selected incident set"):
+        add_canonical(T, occupant, *outside)
+    non_edge = next((0, v) for v in range(1, len(ps)) if (0, v) not in T.edges)
+    with pytest.raises(ValueError, match="not a triangulation edge"):
+        add_canonical(T, occupant, *non_edge)
 
 
 def test_provenance_steps_consistent():
@@ -187,3 +207,61 @@ def test_determinism():
     assert s1.e_can == s2.e_can
     assert T1.edges == T2.edges
     assert s1.provenance == s2.provenance
+
+
+def _assert_python_ints(T, sel):
+    # report._jsonable writes a numpy integer as a JSON string
+    ids = [x for e in T.edges | sel.e_a | sel.e_can for x in e]
+    for edge, provs in sel.provenance.items():
+        ids += edge
+        for prov in provs:
+            ids += [prov.apex, prov.anchor, prov.end_vertex, prov.cone]
+    assert all(type(x) is int for x in ids if x is not None)
+
+
+_SELECTION_CASES = [
+    (dist, n)
+    for dist in ("uniform-square", "gaussian", "annulus")
+    for n in (3, 4, 17, 120, 700, 2000)
+]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        (lambda dist=dist, n=n: build_dt(
+            generate(RunConfig(n=n, seed=n, distribution=dist))
+        ))
+        for dist, n in _SELECTION_CASES
+    ]
+    + [
+        (lambda k=k, jagged=jagged: arc_fan(k, jagged))
+        for k in (3, 10, 60)
+        for jagged in (False, True)
+    ],
+    ids=[f"{dist}-{n}" for dist, n in _SELECTION_CASES]
+    + [f"{kind}-{k}" for k in (3, 10, 60) for kind in ("arc", "jagged")],
+)
+def test_selection_matches_scalar_reference(make):
+    # the array sort, the occupant record and the table-read cones select
+    # what the scalar construction selects, provenance lists included
+    T = make()
+    sel, ref = select_edges(T), reference_selection(T)
+    assert sel.e_a == ref.e_a
+    assert sel.e_can == ref.e_can
+    assert sel.provenance == ref.provenance
+    _assert_python_ints(T, sel)
+
+
+@pytest.mark.parametrize("k", [-500, -300, 100, 240])
+def test_power_of_two_scaling_keeps_selection(k):
+    # scaling by 2**k is exact, so every predicate and the bisector order
+    # see the same combinatorics; the array filters must not underflow or
+    # overflow into a different decision
+    ps = generate(RunConfig(300, seed=5))
+    f = 2.0**k
+    scaled = PointSet(tuple(x * f for x in ps.xs), tuple(y * f for y in ps.ys))
+    _, sel = construct_d8(ps)
+    _, got = construct_d8(scaled)
+    assert got.e_a == sel.e_a
+    assert got.e_can == sel.e_can

@@ -1,11 +1,15 @@
 import functools
+import itertools
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from scipy.spatial import Delaunay as QhullDelaunay
 from scipy.spatial import QhullError
 
 from conftest import random_points
-from oracles import canonical_edges, dt_oracle
+from oracles import canonical_edges, dt_oracle, reference_certify, reference_hull
 from d8span import builder, delaunay
 from d8span.analysis import run_audits
 from d8span.builder import add_incident, construct_d8, sort_edges
@@ -146,6 +150,91 @@ def test_certificate_negative_controls(pts, triangles, error, match):
         certify_delaunay(PointSet.from_pairs(pts), triangles)
 
 
+def _outcome(check, ps, triangles):
+    try:
+        check(ps, triangles)
+    except (ConstructionError, GeneralPositionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _corrupted(ps, rng):
+    """Qhull's triangles, then damaged copies: shuffled, unsorted, dropped,
+    repeated, re-pointed, made degenerate and with an edge flipped."""
+    good = [tuple(t) for t in build_dt(ps).triangles]
+    out = [good]
+    shuffled = [tuple(rng.permutation(t).tolist()) for t in good]
+    rng.shuffle(shuffled)
+    out.append(shuffled)
+    for _ in range(3):
+        k = int(rng.integers(len(good)))
+        out.append(good[:k] + good[k + 1 :])
+        out.append(good[:k] + [good[int(rng.integers(len(good)))]] + good[k:])
+        bad = list(shuffled)
+        a, b, _ = bad[k]
+        bad[k] = (a, b, int(rng.integers(len(ps))))
+        out.append(bad)
+    # an edge flip: two triangles on one edge become the other diagonal's
+    sides = {}
+    for k, t in enumerate(good):
+        for e in itertools.combinations(t, 2):
+            sides.setdefault(e, []).append(k)
+    for e, ks in sorted(sides.items())[:4]:
+        if len(ks) == 2:
+            c, d = (sum(good[k]) - sum(e) for k in ks)
+            rest = [t for k, t in enumerate(good) if k not in ks]
+            out.append(rest + [(e[0], c, d), (e[1], c, d)])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certificate_matches_scalar_reference(seed):
+    # the array certificate accepts what the scan accepts and reports the
+    # first failure the scan meets, with the same message
+    rng = np.random.default_rng(seed)
+    for ps in (random_points(seed, 12 + 9 * seed), generate(RunConfig(40, seed=seed))):
+        for triangles in _corrupted(ps, rng):
+            expected = _outcome(reference_certify, ps, triangles)
+            assert _outcome(certify_delaunay, ps, triangles) == expected
+
+
+def test_certificate_reports_every_cocircular_quadruple():
+    # a 3 x 3 grid rotated by (3, 4): integer points, no two at one y, and
+    # every unit square's corners on one empty circle
+    pts = [(3 * i - 4 * j, 4 * i + 3 * j) for i in range(3) for j in range(3)]
+    ps = PointSet.from_pairs(pts)
+    simplices = np.sort(QhullDelaunay(ps.coords()).simplices, axis=1)
+    triangles = [tuple(t) for t in simplices.tolist()]
+    expected = _outcome(reference_certify, ps, triangles)
+    assert expected[0] is GeneralPositionError
+    assert _outcome(certify_delaunay, ps, triangles) == expected
+
+
+def _hull_sets():
+    rng = np.random.default_rng(3)
+    circle = np.linspace(0, 2 * np.pi, 50, endpoint=False) + 0.01
+    return {
+        "random": rng.uniform(-1, 1, (300, 2)),
+        "small": rng.uniform(-1, 1, (4, 2)),
+        # collinear points on hull edges, and x ties on the left and right
+        "lattice": [(i, 3 * j + i % 3) for i in range(6) for j in range(5)],
+        "circle": np.column_stack([np.cos(circle), np.sin(circle)]),
+        "annulus": generate(RunConfig(200, seed=1, distribution="annulus")).coords(),
+        # x + y and x - y overflow to infinity
+        "huge": rng.uniform(-1, 1, (100, 2)) * 1.7e308,
+        "tiny": rng.uniform(-1, 1, (100, 2)) * 2.0**-1000,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_hull_sets()))
+def test_hull_filter_keeps_the_chain(name):
+    # the chain over the points the extreme-point polygon does not hold
+    # strictly inside is the chain over all of them
+    ps = PointSet.from_pairs(_hull_sets()[name])
+    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    assert delaunay._convex_hull(xs, ys) == reference_hull(ps)
+
+
 def test_qhull_failure_on_non_collinear_set(monkeypatch):
     # a Qhull failure is reported as collinear only when it is
     def fail(coords):
@@ -237,6 +326,20 @@ def _fan(pts, triangles):
     return triangulation_from_triangles(PointSet.from_pairs(pts), triangles)
 
 
+# Points 1 and 2 lie on nearly one ray from the origin, in its cone 0: their
+# clockwise-angle keys are the same double, but point 2 is exactly left of
+# the ray to point 1, so it comes first clockwise.
+_FLOAT_TIE = [(0, 0), (0.3944169531835956, 1.0), (1.9720847659179779, 5.0)]
+
+
+def test_float_tie_in_a_cone_is_ordered_exactly():
+    spy = mock.patch.object(delaunay, "orient", wraps=delaunay.orient)
+    with spy as exact:
+        T = _fan(_FLOAT_TIE, [(0, 1, 2)])
+    assert T.cone(0, 0) == (2, 1)
+    assert exact.call_count > 0  # the group was re-sorted by exact orient
+
+
 _CONE_CASES = pytest.mark.parametrize(
     "make",
     [
@@ -264,10 +367,12 @@ _CONE_CASES = pytest.mark.parametrize(
             [(0, 0), (0.2, 1), (1, 0.1), (0.1, -1), (-1, -0.1), (-0.2, 1.01)],
             [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)],
         ),
+        # two neighbours of the origin whose float order keys tie
+        lambda: _fan(_FLOAT_TIE, [(0, 1, 2)]),
     ],
     ids=[
         "n0", "n1", "n2-right", "n2-left", "n3", "random60", "annulus",
-        "fan", "fan-vertical", "hull-gap",
+        "fan", "fan-vertical", "hull-gap", "float-tie",
     ],
 )
 
@@ -292,8 +397,8 @@ def test_canonical_mask_python_int_keys(monkeypatch):
     T = build_dt(random_points(11, 60))
     monkeypatch.setattr(delaunay, "_INT64_KEYS", 0)
     T2 = build_dt(random_points(11, 60))
-    assert T2._canon.tolist() == T._canon.tolist()
-    assert T._canon.any()
+    assert T2._canon == T._canon
+    assert any(T._canon)
 
 
 def test_ring_is_clockwise():
@@ -432,8 +537,7 @@ def test_canonical_path_for_selected_edges():
     for seed in range(15):
         ps = random_points(seed + 90, 40)
         T = build_dt(ps)
-        e_a = add_incident(T, sort_edges(T))
-        for p, r in e_a:
+        for p, r in add_incident(T, sort_edges(T)).edges:
             assert canonical_subgraph(T, p, r).is_path()
             assert canonical_subgraph(T, r, p).is_path()
 

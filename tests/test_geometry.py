@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -24,7 +25,9 @@ from d8span.geometry import (
     cone_indices,
     euclid,
     in_circle,
+    in_circle_signs,
     orient,
+    orient_signs,
 )
 
 P = lambda x, y: Point(0, x, y)
@@ -232,6 +235,85 @@ def test_cone_indices_near_sqrt3_falls_back_to_exact(pq, k, sx, sy):
     else:
         expected = 3 if steep else (2 if sx > 0 else 4)
     assert got[0] == expected
+
+
+# ---------------------------------------------------------------------------
+# array predicates
+
+
+def _predicate_cases():
+    """Coordinates and index tuples: random points; a cocircular square with
+    its fourth corner moved by one ulp each way; collinear lattice triples
+    and lattice triples one ulp off their line."""
+    rng = np.random.default_rng(5)
+    pts = [tuple(p) for p in rng.uniform(-10, 10, (30, 2)).tolist()]
+    square = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)]
+    step = lambda v, s: math.nextafter(v, s * math.inf) if s else v
+    bottoms = [(step(0.0, s), step(-1.0, t)) for s in (-1, 0, 1) for t in (-1, 0, 1)]
+    lattice = [(float(i), float(2 * i + 1)) for i in range(-3, 4)]
+    off = [(x, math.nextafter(y, math.inf)) for x, y in lattice[::2]]
+    base = len(pts)
+    pts += square + bottoms + lattice + off
+    sq = range(base, base + 3)
+    lat = range(base + 3 + len(bottoms), base + 3 + len(bottoms) + len(lattice))
+    triples = rng.integers(0, base, (200, 3)).tolist()
+    triples += [list(t) for t in itertools.combinations(lat, 3)]
+    triples += [[lat[0], lat[-1], len(pts) - 1 - k] for k in range(len(off))]
+    quads = rng.integers(0, base, (200, 4)).tolist()
+    quads += [[*sq, base + 3 + k] for k in range(len(bottoms))]
+    return np.array(pts), np.array(triples).T, np.array(quads).T
+
+
+@pytest.mark.parametrize("k", [0, -500, 240, 400])
+def test_array_predicates_match_scalar(k):
+    # 2**-500 underflows the in-circle products to zero and 2**400
+    # overflows them: both leave the entries to the exact path
+    pts, (a, b, c), quads = _predicate_cases()
+    xs, ys = np.ldexp(pts[:, 0], k), np.ldexp(pts[:, 1], k)
+    Q = [Point(i, x, y) for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))]
+    want_orient = [orient(Q[i], Q[j], Q[m]) for i, j, m in zip(a, b, c)]
+    want_circle = [in_circle(*(Q[i] for i in q)) for q in zip(*quads)]
+    assert {0, 1, -1} <= set(want_orient) and {0, 1, -1} <= set(want_circle)
+    orient_spy = mock.patch.object(geometry, "orient", wraps=geometry.orient)
+    circle_spy = mock.patch.object(
+        geometry, "_in_circle_exact", wraps=geometry._in_circle_exact
+    )
+    with orient_spy as exact_orient, circle_spy as exact_circle:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_orient = orient_signs(xs, ys, a, b, c)
+            got_circle = in_circle_signs(xs, ys, *quads)
+    assert got_orient.dtype == got_circle.dtype == np.int8
+    assert got_orient.tolist() == want_orient
+    assert got_circle.tolist() == want_circle
+    # the collinear triples and the cocircular square reach the exact path
+    assert exact_orient.call_count >= 1 and exact_circle.call_count >= 1
+
+
+@given(
+    st.lists(
+        st.tuples(component, component, component, component),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_array_predicates_match_scalar_anywhere(rows):
+    # any finite doubles, near overflow and subnormal included
+    xs = np.array([r[0] for r in rows] + [r[2] for r in rows])
+    ys = np.array([r[1] for r in rows] + [r[3] for r in rows])
+    m = len(xs)
+    ids = np.arange(m)
+    a, b, c, d = (np.roll(ids, s) for s in range(4))
+    Q = [Point(i, x, y) for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist()))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_orient = orient_signs(xs, ys, a, b, c).tolist()
+        got_circle = in_circle_signs(xs, ys, a, b, c, d).tolist()
+    assert got_orient == [orient(Q[i], Q[j], Q[k]) for i, j, k in zip(a, b, c)]
+    assert got_circle == [
+        in_circle(Q[i], Q[j], Q[k], Q[l]) for i, j, k, l in zip(a, b, c, d)
+    ]
 
 
 # ---------------------------------------------------------------------------
