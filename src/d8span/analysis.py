@@ -17,7 +17,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .builder import ConstructionError, EdgeSelection, e_a_occupant
-from .delaunay import Triangulation, canonical_subgraph, edge_key
+from .delaunay import (
+    Triangulation,
+    canonical_subgraph,
+    canonical_subgraphs,
+    cones_of,
+    edge_arrays,
+    edge_key,
+    extremal_ends,
+)
 from .geometry import (
     PointSet,
     bisector_distance,
@@ -393,51 +401,94 @@ def _angle(ps, a: int, x: int, b: int) -> float:
     return abs(math.atan2(cross, dot))
 
 
-def _oriented_e_a(sel, T):
-    for u, v in sel.e_a:
-        if not T.is_edge(u, v):
-            continue  # non-DT edge; the subgraph audit reports it
-        yield u, v
-        yield v, u
+def _keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Sorted keys u * n + v of the pairs with 0 <= u < v < n: those an
+    ``edge_key`` of two vertices can equal."""
+    return np.sort((u * n + v)[(0 <= u) & (u < v) & (v < n)])
+
+
+def _selected_cones(T, e_a: np.ndarray, e_can) -> np.ndarray:
+    """Entry 6v + i is true when a selected edge leaves v into cone i; the
+    selection is E_A's ``_keys`` and the pairs of ``e_can``."""
+    n = len(T.points)
+    selected = np.zeros(6 * n, dtype=bool)
+    for keys in (e_a, _keys(*edge_arrays(e_can), n)):
+        u, v = np.divmod(keys, n)
+        for p, q in ((u, v), (v, u)):
+            cone = cones_of(T, p, q)
+            selected[(6 * p + cone)[cone >= 0]] = True
+    return selected
 
 
 def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
-    """The canonical-path, anchor-cone and extremal-cone verdicts, from one
-    pass that builds each oriented E_A edge's canonical subgraph once.  Each
-    keeps its first counterexample in ``_oriented_e_a`` order."""
+    """The canonical-path, anchor-cone and extremal-cone verdicts, from the
+    canonical subgraph of each oriented E_A edge, computed once as arrays by
+    ``canonical_subgraphs`` from T and ``sel.e_a`` alone.  Each keeps its
+    first counterexample in the order of ``sel.e_a``, each edge (u, v) as
+    (u, v) and then (v, u); a non-DT edge is skipped, the subgraph audit
+    reports it.  The counterexamples are rebuilt with the scalar
+    ``canonical_subgraph``."""
+    n = len(T.points)
+    u, v = edge_arrays(sel.e_a)
+    e_a = _keys(u, v, n)
+    selected = _selected_cones(T, e_a, sel.e_can)
+    # n * n exceeds every key, so each search lands inside the array
+    e_a = np.append(e_a, n * n)
+    if not sel.e_a <= T.edges:
+        dt = (0 <= u) & (u < n) & (0 <= v) & (v < n)
+        dt[dt] = cones_of(T, u[dt], v[dt]) >= 0
+        u, v = u[dt], v[dt]
     found: dict[str, dict] = {}
-    for p, r in _oriented_e_a(sel, T):
-        can = canonical_subgraph(T, p, r)
-        i = can.cone
-        if "canonical_path" not in found and not can.is_path():
+    for b in canonical_subgraphs(T, u, v):
+        p, r, i = b.p, b.r, b.cone
+        if "canonical_path" not in found and not b.is_path.all():
+            k = int(np.argmin(b.is_path))
+            can = canonical_subgraph(T, int(p[k]), int(r[k]))
             found["canonical_path"] = {
-                "apex": p, "anchor": r, "vertices": can.vertices, "edges": can.edges
+                "apex": can.apex, "anchor": can.anchor,
+                "vertices": can.vertices, "edges": can.edges,
             }
         if "anchor_cones" not in found:
-            left = [w for w in T.cone(r, (i + 2) % 6) if sel.has_d8_edge(r, w)]
-            right = [w for w in T.cone(r, (i + 4) % 6) if sel.has_d8_edge(r, w)]
-            if r not in (can.first_vertex, can.last_vertex):
-                bad = left or right
-            else:
-                bad = len(can.vertices) > 1 and left and right
-            if bad:
+            left = selected[6 * r + (i + 2) % 6]
+            right = selected[6 * r + (i + 4) % 6]
+            inner = (r != b.first) & (r != b.last)
+            bad = np.where(inner, left | right, (b.kept > 1) & left & right)
+            if bad.any():
+                k = int(np.argmax(bad))
+                pk, rk, ik = int(p[k]), int(r[k]), int(i[k])
                 found["anchor_cones"] = {
-                    "apex": p, "anchor": r, "cone": i, "left": left, "right": right
+                    "apex": pk, "anchor": rk, "cone": ik,
+                    "left": _selected_in(T, sel, rk, (ik + 2) % 6),
+                    "right": _selected_in(T, sel, rk, (ik + 4) % 6),
                 }
-        if "extremal_cone" not in found and can.edges:
-            for y, z in (can.edges[-1], can.edges[0][::-1]):
-                if z == r or edge_key(p, z) in sel.e_a:
-                    continue
-                if T.cone_of(z, y) == i:
-                    cx = {"apex": p, "anchor": r, "edge": (y, z), "cone": i}
-                    found["extremal_cone"] = cx
-                    break
+        if "extremal_cone" not in found:
+            has = np.flatnonzero(b.edges)
+            a, anchor, cone = p[has], r[has], i[has]
+            ends = extremal_ends(T, b, has)
+            bad = []
+            for y, z, j in ends:
+                key = np.minimum(a, z) * n + np.maximum(a, z)
+                direct = e_a[np.searchsorted(e_a, key)] == key
+                bad.append((z != anchor) & ~direct & (j == cone))
+            either = bad[0] | bad[1]
+            if either.any():
+                k = int(np.argmax(either))
+                y, z, _ = ends[0] if bad[0][k] else ends[1]
+                found["extremal_cone"] = {
+                    "apex": int(a[k]), "anchor": int(anchor[k]),
+                    "edge": (int(y[k]), int(z[k])), "cone": int(cone[k]),
+                }
         if len(found) == 3:
             break
     return [
         AuditVerdict(name, name not in found, found.get(name))
         for name in ("canonical_path", "anchor_cones", "extremal_cone")
     ]
+
+
+def _selected_in(T, sel, v: int, i: int) -> list[int]:
+    """The neighbours w of v in cone i with (v, w) selected."""
+    return [w for w in T.cone(v, i) if sel.has_d8_edge(v, w)]
 
 
 def audit_canonical_paths(T, sel) -> AuditVerdict:

@@ -3,19 +3,22 @@ full bounded-degree construction."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .delaunay import (
-    CanonicalSubgraph,
     ConstructionError,
     Triangulation,
     build_dt,
     canonical_subgraph,
+    canonical_subgraphs,
     cone_neighbourhood,
+    edge_arrays,
     edge_key,
+    extremal_ends,
 )
 from .geometry import CONE_BISECTORS, PointSet
 
@@ -54,7 +57,7 @@ class IncidentEdges(NamedTuple):
     6p + i the far end of the accepted edge leaving p into cone i, or -1."""
 
     edges: list[tuple[int, int]]
-    occupant: list[int]
+    occupant: array
 
 
 def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
@@ -64,16 +67,25 @@ def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
     accepted edge leaves p into cone i and no already accepted edge leaves q
     into cone i+3.  At most one accepted edge per vertex-cone pair, hence
     degree at most 6.
+
+    The accepted edges are ``T.edges``' own tuples and ``occupant`` a C int
+    array, so the selection holds no second copy of an edge or of an id.
     """
-    occupant = [-1] * (6 * len(T.points))
-    edges: list[tuple[int, int]] = []
-    for p, q, i in zip(L.u.tolist(), L.v.tolist(), L.cone.tolist()):
+    n = len(T.points)
+    occupant = array("i", [-1]) * (6 * n)
+    taken: list[int] = []
+    for k, (p, q, i) in enumerate(zip(L.u.tolist(), L.v.tolist(), L.cone.tolist())):
         sp, sq = 6 * p + i, 6 * q + (i + 3) % 6
         if occupant[sp] < 0 and occupant[sq] < 0:
-            edges.append((p, q))
+            taken.append(k)
             occupant[sp] = q
             occupant[sq] = p
-    return IncidentEdges(edges, occupant)
+    dt = list(T.edges)
+    u, v = edge_arrays(dt)
+    keys = u * n + v
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys[order], (L.u * n + L.v)[taken])]
+    return IncidentEdges([dt[k] for k in at.tolist()], occupant)
 
 
 @dataclass(frozen=True)
@@ -110,99 +122,124 @@ def e_a_occupant(T: Triangulation, e_a, v: int, cone: int) -> int | None:
 
 def add_canonical(
     T: Triangulation,
-    occupant: list[int],
+    occupant: array,
     p: int,
     r: int,
 ) -> list[tuple[tuple[int, int], Provenance]]:
     """Edges contributed for the selected edge (p, r) with r in cone i of p;
-    ``occupant`` is ``add_incident``'s record of the selection.
+    ``occupant`` is ``add_incident``'s record of the selection.  The one-edge
+    form of ``select_edges``' completion."""
+    if not T.is_edge(p, r):
+        raise ValueError(f"({p},{r}) is not a triangulation edge")
+    (b,) = canonical_subgraphs(T, np.array([p]), np.array([r]))
+    if occupant[6 * p + int(b.cone[0])] != r:
+        raise ValueError(f"({p},{r}) not in the selected incident set")
+    return _completion(T, occupant, b, pick=np.array([True, False]))
+
+
+#: Provenance steps by code, in the order one selected edge adds them.
+_STEPS = ("2", "3", "4a", "4b", "4c")
+
+
+def _completion(T, occupant, b, pick: np.ndarray) -> list:
+    """Steps 2-4 for the selected edges (p, r) of block b that the mask
+    ``pick`` marks, as (edge, Provenance) pairs: edge by edge, and for each
+    the step 2 edges clockwise, the step 3 edge, then step 4 for the last
+    and for the first extremal edge.
 
     Cone indices below follow the construction stated for i = 0 and are
     rotated by i; the first extremal edge is handled with the mirrored cone
     indices of the last one.
     """
-    can = canonical_subgraph(T, p, r)
-    i = can.cone
-    if occupant[6 * p + i] != r:
-        raise ValueError(f"({p},{r}) not in the selected incident set")
-    out: list[tuple[tuple[int, int], Provenance]] = []
+    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    occ = np.asarray(occupant)
+    # per event: its edge's row, its step and its (y, z), where z is the end
+    # vertex and j the cone of z holding y in step 4
+    row, step, y, z, j = [], [], [], [], []
+
+    def add(k, code, s, t, cone=-1):
+        row.append(k)
+        step.append(np.broadcast_to(code, len(k)))
+        y.append(s)
+        z.append(t)
+        j.append(np.broadcast_to(cone, len(k)))
 
     # Step 2: all non-extremal canonical edges, when there are at least 3.
-    if len(can.edges) >= 3:
-        for s, t in can.edges[1:-1]:
-            out.append((edge_key(s, t), Provenance("2", p, r)))
+    owner = np.repeat(np.arange(len(b.p)), b.edges)
+    rank = np.arange(len(owner)) - (np.cumsum(b.edges) - b.edges)[owner]
+    middle = pick[owner] & (rank > 0) & (rank < b.edges[owner] - 1)
+    s = b.canonical[middle]
+    add(owner[middle], 0, nbr[s], nbr[s + 1])
 
     # Step 3: the edge incident to the anchor, when the anchor is extremal
     # and there is more than one edge.
-    if len(can.edges) > 1:
-        if r == can.first_vertex:
-            out.append((edge_key(*can.edges[0]), Provenance("3", p, r)))
-        elif r == can.last_vertex:
-            out.append((edge_key(*can.edges[-1]), Provenance("3", p, r)))
+    k = np.flatnonzero(pick & (b.edges > 1) & ((b.r == b.first) | (b.r == b.last)))
+    s = np.where(b.r[k] == b.first[k], b.first_edge[k], b.last_edge[k])
+    add(k, 1, nbr[s], nbr[s + 1])
 
     # Step 4: the extremal edges.  A single canonical edge is both first and
-    # last and is examined under both orientations.
-    if can.edges:
-        _process_extremal(T, occupant, can, i, last=True, out=out)
-        _process_extremal(T, occupant, can, i, last=False, out=out)
+    # last and is examined under both orientations.  For the last edge (y,
+    # z) the relevant cones of z are i+5 (add the edge), and i+4 (add it when
+    # no selected incident edge occupies that cone of z, otherwise add the
+    # unique canonical edge of z with endpoint y there, unless (y, z) is that
+    # incident edge).  The first edge is the mirror image: cones i+1 and i+2.
+    # Otherwise the edge lies in the cone facing the apex and adds nothing.
+    k = np.flatnonzero(pick & (b.edges > 0))
+    i = b.cone[k]
+    for (ye, ze, je), outer, side in zip(extremal_ends(T, b, k), (5, 1), (4, 2)):
+        outer, side = (i + outer) % 6, (i + side) % 6
+        u = occ[6 * ze + side]
+        code = np.select(
+            [je == outer, (je == side) & (u < 0), (je == side) & (u != ye)],
+            [2, 3, 4], -1,
+        )
+        e = code >= 0
+        add(k[e], code[e], ye[e], ze[e], je[e])
+
+    row = np.concatenate(row)
+    order = np.argsort(row, kind="stable")
+    columns = [np.concatenate(x)[order].tolist() for x in (step, y, z, j)]
+    apex, anchor = b.p[row[order]].tolist(), b.r[row[order]].tolist()
+    out = []
+    for code, s, t, cone, p, r in zip(*columns, apex, anchor):
+        if code < 2:
+            prov = Provenance(_STEPS[code], p, r)
+        else:
+            prov = Provenance(_STEPS[code], p, r, t, cone)
+            if code == 4:
+                s, t = _step_4c(T, p, r, s, t, cone)
+        out.append(((s, t) if s < t else (t, s), prov))
     return out
 
 
-def _process_extremal(
-    T, occupant, can: CanonicalSubgraph, i: int, *, last: bool, out
-):
-    """Step 4 for one extremal edge.
-
-    For the last edge (y, z) the relevant cones of z are i+5 (add the edge),
-    and i+4 (add it when no selected incident edge occupies that cone of z,
-    otherwise add the unique canonical edge of z with endpoint y there).  The
-    first edge is the mirror image: cones i+1 and i+2.
-    """
-    p, r = can.apex, can.anchor
-    if last:
-        y, z = can.edges[-1]
-        outer, inner = (i + 5) % 6, (i + 4) % 6
-    else:
-        z, y = can.edges[0]
-        outer, inner = (i + 1) % 6, (i + 2) % 6
-    j = T.cone_of(z, y)
-    prov = lambda step: Provenance(step, p, r, end_vertex=z, cone=j)
-    if j == outer:
-        out.append((edge_key(y, z), prov("4a")))
-    elif j == inner:
-        u = occupant[6 * z + inner]
-        if u < 0:
-            out.append((edge_key(y, z), prov("4b")))
-        elif u == y:
-            pass  # (y, z) is itself a selected incident edge; nothing to add
-        else:
-            nb = cone_neighbourhood(T, z, inner)
-            candidates = [e for e in nb.canonical_edges if y in e]
-            if len(candidates) != 1:
-                raise ConstructionError(
-                    f"expected exactly one canonical edge of {z} with endpoint "
-                    f"{y} in cone {inner}; found {candidates} "
-                    f"(apex {p}, anchor {r}, subgraph {can.vertices})"
-                )
-            w, yy = candidates[0]
-            out.append((edge_key(w, yy), prov("4c")))
-    # Otherwise the edge lies in the cone facing the apex and nothing is
-    # added for this end.
+def _step_4c(T, p: int, r: int, y: int, z: int, cone: int) -> tuple[int, int]:
+    """The canonical edge of z in the given cone with endpoint y."""
+    candidates = [e for e in cone_neighbourhood(T, z, cone).canonical_edges if y in e]
+    if len(candidates) != 1:
+        vertices = canonical_subgraph(T, p, r).vertices
+        raise ConstructionError(
+            f"expected exactly one canonical edge of {z} with endpoint "
+            f"{y} in cone {cone}; found {candidates} "
+            f"(apex {p}, anchor {r}, subgraph {vertices})"
+        )
+    return candidates[0]
 
 
 def select_edges(T: Triangulation) -> EdgeSelection:
     """Sorted edge list, greedy incident selection, then canonical
-    completion from both endpoints of every selected edge in sorted order."""
+    completion from both endpoints of every selected edge in sorted order.
+
+    The canonical subgraphs come as arrays from ``canonical_subgraphs``, and
+    the completion decides on them, a block at a time; only step 4c and a
+    failure read a cone again."""
     e_a, occupant = add_incident(T, sort_edges(T))
-    e_can: set[tuple[int, int]] = set()
     provenance: dict[tuple[int, int], list[Provenance]] = {}
-    for p, q in e_a:
-        for apex, anchor in ((p, q), (q, p)):
-            for edge, prov in add_canonical(T, occupant, apex, anchor):
-                e_can.add(edge)
-                provenance.setdefault(edge, []).append(prov)
+    for b in canonical_subgraphs(T, *edge_arrays(e_a)):
+        pick = np.ones(len(b.p), dtype=bool)
+        for edge, prov in _completion(T, occupant, b, pick):
+            provenance.setdefault(edge, []).append(prov)
     return EdgeSelection(
-        e_a=frozenset(e_a), e_can=frozenset(e_can), provenance=provenance
+        e_a=frozenset(e_a), e_can=frozenset(provenance), provenance=provenance
     )
 
 

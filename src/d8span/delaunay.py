@@ -12,7 +12,9 @@ from __future__ import annotations
 import bisect
 import functools
 from array import array
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -358,8 +360,9 @@ def cone_neighbourhood(T: Triangulation, p: int, i: int) -> ConeNeighbourhood:
 
 
 class CanonicalSubgraph(NamedTuple):
-    # a NamedTuple: the builder and the audits each make one per oriented
-    # E_A edge, and it is cheaper to create than a frozen dataclass
+    # one subgraph as Python values, for the witness paths, the
+    # counterexamples and the scalar entry points; the builder and the
+    # audits read ``canonical_subgraphs``' arrays instead
     apex: int
     anchor: int
     cone: int
@@ -408,3 +411,135 @@ def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
     return CanonicalSubgraph(
         apex=p, anchor=r, cone=i, vertices=tuple(keep), edges=edges
     )
+
+
+def edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The ends u and v of a collection of pairs (u, v), as two int arrays
+    in its iteration order."""
+    uv = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges))
+    return uv[0::2], uv[1::2]
+
+
+#: Queries per block of the ragged scans in ``cones_of`` and
+#: ``canonical_subgraphs``: a block's temporaries span its vertices' cones.
+_SCAN_BLOCK = 1 << 12
+
+
+def _ragged(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot of the runs [lo[k], lo[k] + size[k]) in turn, with its run k."""
+    owner = np.repeat(np.arange(len(lo)), size)
+    first = np.cumsum(size) - size
+    return owner, np.arange(len(owner)) + (lo - first)[owner]
+
+
+# cones 1 to 5, the cones of a vertex after its first
+_LATER = np.arange(1, 6)
+
+
+def cones_of(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``cone_of`` for arrays of pairs: the cone of p[k] holding q[k], or -1
+    where q[k] is not a neighbour of p[k].  A ragged scan of each p[k]'s six
+    cones in the cone table."""
+    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    start = np.frombuffer(T._start, dtype=np.intc)
+    out = np.empty(len(p), dtype=np.int8)
+    for k in range(0, len(p), _SCAN_BLOCK):
+        a, b = p[k : k + _SCAN_BLOCK], q[k : k + _SCAN_BLOCK]
+        lo = start[6 * a]
+        owner, slot = _ragged(lo, start[6 * a + 6] - lo)
+        hit = nbr[slot] == b[owner]
+        found = np.full(len(a), -1, dtype=start.dtype)
+        found[owner[hit]] = slot[hit]
+        # the cone is the number of later cones of p starting at or before
+        # the slot
+        cone = (start[6 * a[:, None] + _LATER] <= found[:, None]).sum(axis=1)
+        out[k : k + _SCAN_BLOCK] = np.where(found < 0, -1, cone)
+    return out
+
+
+class SubgraphBlock(NamedTuple):
+    """The canonical subgraphs of a block of oriented edges (p[k], r[k]), as
+    arrays.  ``members`` holds each subgraph's ``kept`` vertices in turn,
+    clockwise; ``canonical`` holds each subgraph's ``edges`` surviving
+    canonical edges in turn, clockwise, as slots s of the cone table, the edge
+    being (_nbr[s], _nbr[s + 1]).  ``first_edge`` and ``last_edge`` are such
+    slots too, -1 for a subgraph without edges."""
+
+    p: np.ndarray
+    r: np.ndarray
+    cone: np.ndarray
+    kept: np.ndarray
+    members: np.ndarray
+    first: np.ndarray  # first and last kept member
+    last: np.ndarray
+    edges: np.ndarray
+    canonical: np.ndarray
+    first_edge: np.ndarray
+    last_edge: np.ndarray
+
+    @property
+    def is_path(self) -> np.ndarray:
+        # every surviving edge joins two members adjacent in the cone, so
+        # there are at most kept - 1 of them, and kept - 1 make a path
+        return self.edges == self.kept - 1
+
+
+def canonical_subgraphs(
+    T: Triangulation, u: np.ndarray, v: np.ndarray
+) -> Iterator[SubgraphBlock]:
+    """``canonical_subgraph`` of (u[k], v[k]) and then of (v[k], u[k]) for
+    each triangulation edge (u[k], v[k]), in blocks of ``_SCAN_BLOCK``
+    oriented edges, so that no array spans all of them.
+
+    A member is kept when its bisector length, the float that
+    ``bisector_in_cone`` computes, is at least the anchor's, or when it is
+    the anchor itself; a canonical edge survives when both ends are kept."""
+    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    start = np.frombuffer(T._start, dtype=np.intc)
+    canon = np.frombuffer(T._canon, dtype=np.bool_)
+    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
+    ux, uy = np.array(CONE_BISECTORS).T
+    step = _SCAN_BLOCK // 2
+    for k in range(0, len(u), step):
+        a, b = u[k : k + step], v[k : k + step]
+        p, r = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
+        cone = cones_of(T, p, r)
+        if (cone < 0).any():
+            j = int(np.argmax(cone < 0))
+            raise ValueError(f"({p[j]},{r[j]}) is not a triangulation edge")
+        g = 6 * p + cone
+        lo = start[g]
+        size = start[g + 1] - lo
+        owner, slot = _ragged(lo, size)
+        w, c = nbr[slot], cone[owner]
+        px, py = xs[p], ys[p]
+        with np.errstate(all="ignore"):
+            length = (xs[w] - px[owner]) * ux[c] + (ys[w] - py[owner]) * uy[c]
+            threshold = (xs[r] - px) * ux[cone] + (ys[r] - py) * uy[cone]
+        keep = (length >= threshold[owner]) | (w == r[owner])
+        # a group's last slot is never canonical, so no edge joins two groups
+        survive = keep & canon[slot]
+        survive[:-1] &= keep[1:]
+        first_slot = np.cumsum(size) - size
+        kept = np.add.reduceat(keep, first_slot, dtype=np.intp)
+        count = np.add.reduceat(survive, first_slot, dtype=np.intp)
+        members, canonical = w[keep], slot[survive]
+        at = np.cumsum(kept) - kept
+        first_edge = np.cumsum(count) - count
+        padded = np.append(canonical, -1)  # indexable where count is 0
+        yield SubgraphBlock(
+            p, r, cone, kept, members, members[at], members[at + kept - 1],
+            count, canonical,
+            np.where(count > 0, padded[first_edge], -1),
+            np.where(count > 0, padded[first_edge + count - 1], -1),
+        )
+
+
+def extremal_ends(T: Triangulation, b: SubgraphBlock, rows: np.ndarray) -> list:
+    """The last edge (y, z) of each subgraph ``rows`` of b, which must have
+    edges, and then its first edge reversed: each as arrays y and z and the
+    cone j of z holding y."""
+    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    last, first = b.last_edge[rows], b.first_edge[rows]
+    ends = [(nbr[last], nbr[last + 1]), (nbr[first + 1], nbr[first])]
+    return [(y, z, cones_of(T, z, y)) for y, z in ends]

@@ -7,7 +7,9 @@ quadratic per cone.  The brute-force oracles recompute the same facts from
 their definitions.  The scalar references (``reference_certify``,
 ``reference_selection``) are the construction as it ran before it moved to
 arrays: one predicate call per triangle, edge or vertex, on ``Point``
-objects.
+objects.  ``reference_subgraph_lemmas`` is the subgraph-lemma audit as it ran
+before it moved to arrays: one scalar canonical subgraph per oriented E_A
+edge.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from d8span.delaunay import (
     CanonicalSubgraph,
     ConstructionError,
     Triangulation,
+    canonical_subgraph,
     cone_neighbourhood,
     edge_key,
     triangulation_from_triangles,
@@ -341,3 +344,50 @@ def reference_selection(T) -> EdgeSelection:
                 e_can.add(edge)
                 provenance.setdefault(edge, []).append(prov)
     return EdgeSelection(frozenset(e_a), frozenset(e_can), provenance)
+
+
+def _oriented_e_a(sel, T):
+    for u, v in sel.e_a:
+        if not T.is_edge(u, v):
+            continue  # non-DT edge; the subgraph audit reports it
+        yield u, v
+        yield v, u
+
+
+def reference_subgraph_lemmas(T, sel) -> list[AuditVerdict]:
+    """The canonical-path, anchor-cone and extremal-cone verdicts from one
+    scalar ``canonical_subgraph`` per oriented E_A edge, each with its first
+    counterexample in ``_oriented_e_a`` order."""
+    found: dict[str, dict] = {}
+    for p, r in _oriented_e_a(sel, T):
+        can = canonical_subgraph(T, p, r)
+        i = can.cone
+        if "canonical_path" not in found and not can.is_path():
+            found["canonical_path"] = {
+                "apex": p, "anchor": r, "vertices": can.vertices, "edges": can.edges
+            }
+        if "anchor_cones" not in found:
+            left = [w for w in T.cone(r, (i + 2) % 6) if sel.has_d8_edge(r, w)]
+            right = [w for w in T.cone(r, (i + 4) % 6) if sel.has_d8_edge(r, w)]
+            if r not in (can.first_vertex, can.last_vertex):
+                bad = left or right
+            else:
+                bad = len(can.vertices) > 1 and left and right
+            if bad:
+                found["anchor_cones"] = {
+                    "apex": p, "anchor": r, "cone": i, "left": left, "right": right
+                }
+        if "extremal_cone" not in found and can.edges:
+            for y, z in (can.edges[-1], can.edges[0][::-1]):
+                if z == r or edge_key(p, z) in sel.e_a:
+                    continue
+                if T.cone_of(z, y) == i:
+                    cx = {"apex": p, "anchor": r, "edge": (y, z), "cone": i}
+                    found["extremal_cone"] = cx
+                    break
+        if len(found) == 3:
+            break
+    return [
+        AuditVerdict(name, name not in found, found.get(name))
+        for name in ("canonical_path", "anchor_cones", "extremal_cone")
+    ]

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import arc_fan, random_points
-from oracles import crossings, wedge_angles
-from d8span import analysis
+from oracles import crossings, reference_subgraph_lemmas, wedge_angles
+from d8span import analysis, delaunay
 from d8span.analysis import (
     BOUND_RTOL,
     DT_STRETCH,
     PATH_FACTOR,
     STRETCH_BOUND,
     StretchReport,
+    _subgraph_lemmas,
     audit_anchor_cones,
     audit_canonical_paths,
     audit_charged_cones,
@@ -465,6 +466,105 @@ def test_extremal_cone_negative_control():
     v = audit_extremal_cone(T, sel)
     assert not v.passed
     assert v.counterexample["edge"] == (2, 3)
+
+
+def _random_selection(seed: int, n: int, share: float):
+    T = build_dt(random_points(seed, n))
+    edges = sorted(T.edges)
+    drawn = np.random.default_rng(seed).random(len(edges)) < share
+    e_a = frozenset(e for e, d in zip(edges, drawn) if d)
+    return T, EdgeSelection(e_a=e_a, e_can=frozenset(edges) - e_a)
+
+
+def random_selection_fixture():
+    """A random 30 % of the Delaunay edges as E_A and the rest as E_CAN: the
+    canonical-path and anchor-cone lemmas fail at one selected edge, the
+    extremal-cone lemma at another."""
+    return _random_selection(114, 80, 0.3)
+
+
+def direct_end_fixture():
+    """A random 60 % of the Delaunay edges as E_A: the extremal edge (7, 56)
+    of the subgraph of (24, 36) points back into the apex cone at 56, and
+    passes only because (24, 56) is itself selected."""
+    return _random_selection(16, 60, 0.6)
+
+
+def both_ends_fixture():
+    """A hand-built fan around an inner anchor whose first and last
+    extremal edges both point back into the apex cone at their end vertex."""
+    pts = [(0, 0), (-0.9, 4.0), (-0.7, 5.2), (0, 3.9), (0.7, 5.2), (0.9, 4.0)]
+    fan = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5)]
+    T = triangulation_from_triangles(PointSet.from_pairs(pts), fan)
+    return T, EdgeSelection(e_a=frozenset({(0, 3)}), e_can=frozenset())
+
+
+def two_in_one_cone_fixture():
+    """The construction's selection plus a second E_A edge leaving one
+    vertex into a cone that already holds one."""
+    T, sel = construct_d8(random_points(11, 60))
+    for p in range(len(T.points)):
+        for i in range(6):
+            members = T.cone(p, i)
+            taken = [w for w in members if edge_key(p, w) in sel.e_a]
+            if taken and len(members) > 1:
+                other = next(w for w in members if w != taken[0])
+                e_a = sel.e_a | {edge_key(p, other)}
+                return T, EdgeSelection(e_a=e_a, e_can=sel.e_can - e_a)
+    raise AssertionError("no cone with an E_A edge and company")
+
+
+def non_dt_fixture():
+    """The construction's selection plus an E_A pair that is no Delaunay
+    edge, and a Delaunay edge written high end first."""
+    T, sel = construct_d8(random_points(11, 60))
+    far = next((0, v) for v in range(1, 60) if not T.is_edge(0, v))
+    u, v = sorted(T.edges - sel.e_a - sel.e_can)[0]
+    return T, EdgeSelection(e_a=sel.e_a | {far, (v, u)}, e_can=sel.e_can)
+
+
+_LEMMA_CASES = {
+    "canonical_path": find_canonical_path_corruption,
+    "wedge": wedge_violation_fixture,
+    "shared_triangle": shared_triangle_violation_fixture,
+    "anchor_cone": anchor_cone_violation_fixture,
+    "extremal_cone": extremal_cone_violation_fixture,
+    "random_selection": random_selection_fixture,
+    "direct_end": direct_end_fixture,
+    "both_ends": both_ends_fixture,
+    "two_in_one_cone": two_in_one_cone_fixture,
+    "non_dt": non_dt_fixture,
+}
+
+
+@pytest.mark.parametrize("block", [None, 2, 5], ids=["one-block", "block2", "block5"])
+@pytest.mark.parametrize("name", sorted(_LEMMA_CASES))
+def test_subgraph_lemmas_match_scalar_reference(monkeypatch, name, block):
+    # same verdicts and first counterexamples, Python ints included, however
+    # the oriented edges fall into blocks
+    T, sel = _LEMMA_CASES[name]()
+    if block is not None:
+        monkeypatch.setattr(delaunay, "_SCAN_BLOCK", block)
+    got = _subgraph_lemmas(T, sel)
+    assert repr(got) == repr(reference_subgraph_lemmas(T, sel))
+
+
+def test_subgraph_lemma_fixtures_fail():
+    # the reference rejects what each fixture plants
+    failing = {
+        "canonical_path": {"canonical_path"},
+        "anchor_cone": {"anchor_cones"},
+        "extremal_cone": {"extremal_cone"},
+        "random_selection": {"canonical_path", "anchor_cones", "extremal_cone"},
+    }
+    for name, expected in failing.items():
+        verdicts = reference_subgraph_lemmas(*_LEMMA_CASES[name]())
+        assert {v.name for v in verdicts if not v.passed} == expected, name
+    assert reference_subgraph_lemmas(*direct_end_fixture())[2].passed
+    extremal = reference_subgraph_lemmas(*both_ends_fixture())[2]
+    assert extremal.counterexample == {
+        "apex": 0, "anchor": 3, "edge": (4, 5), "cone": 0
+    }
 
 
 def test_charged_cone_negative_control(small_instance):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import arc_fan, random_points
 from oracles import reference_selection, reference_sort
+from d8span import builder, delaunay
 from d8span.builder import (
     add_canonical,
     add_incident,
@@ -11,7 +12,13 @@ from d8span.builder import (
     select_edges,
     sort_edges,
 )
-from d8span.delaunay import build_dt, canonical_subgraph, edge_key
+from d8span.delaunay import (
+    ConeNeighbourhood,
+    ConstructionError,
+    build_dt,
+    canonical_subgraph,
+    edge_key,
+)
 from d8span.geometry import PointSet, bisector_distance, cone_index
 from d8span.pointio import RunConfig, generate
 
@@ -120,6 +127,14 @@ def test_add_incident_two_competitors_in_one_cone():
     assert e_a == _add_incident_reference(T)
 
 
+def test_add_incident_shares_triangulation_tuples():
+    # the selection holds T.edges' own tuples, not copies
+    T = build_dt(random_points(5, 200))
+    own = {e: e for e in T.edges}
+    edges = add_incident(T, sort_edges(T)).edges
+    assert edges and all(own[e] is e for e in edges)
+
+
 def test_one_e_a_edge_per_vertex_cone():
     for seed in range(20):
         ps = random_points(seed + 300, 60)
@@ -163,6 +178,32 @@ def test_add_canonical_requires_selected_edge():
     non_edge = next((0, v) for v in range(1, len(ps)) if (0, v) not in T.edges)
     with pytest.raises(ValueError, match="not a triangulation edge"):
         add_canonical(T, occupant, *non_edge)
+
+
+def test_add_canonical_matches_select_edges():
+    # the scalar entry point, edge by edge in sorted order, adds what the
+    # array completion adds, in the same order
+    T = build_dt(random_points(5, 150))
+    e_a, occupant = add_incident(T, sort_edges(T))
+    provenance: dict = {}
+    for p, q in e_a:
+        for apex, anchor in ((p, q), (q, p)):
+            for edge, prov in add_canonical(T, occupant, apex, anchor):
+                provenance.setdefault(edge, []).append(prov)
+    assert list(provenance.items()) == list(select_edges(T).provenance.items())
+
+
+def test_step_4c_failure_names_the_subgraph(monkeypatch):
+    # a cone without the canonical edge step 4c needs is a construction
+    # error that names the apex's subgraph
+    T = build_dt(random_points(5, 60))
+    steps = [p.step for ps in select_edges(T).provenance.values() for p in ps]
+    assert "4c" in steps
+    empty = lambda T, z, i: ConeNeighbourhood(z, i, T.cone(z, i), ())
+    monkeypatch.setattr(builder, "cone_neighbourhood", empty)
+    message = r"found \[\] \(apex \d+, anchor \d+, subgraph \("
+    with pytest.raises(ConstructionError, match=message):
+        select_edges(T)
 
 
 def test_provenance_steps_consistent():
@@ -249,8 +290,20 @@ def test_selection_matches_scalar_reference(make):
     sel, ref = select_edges(T), reference_selection(T)
     assert sel.e_a == ref.e_a
     assert sel.e_can == ref.e_can
-    assert sel.provenance == ref.provenance
+    assert list(sel.provenance.items()) == list(ref.provenance.items())
     _assert_python_ints(T, sel)
+
+
+@pytest.mark.parametrize("block", [2, 3, 64])
+def test_selection_independent_of_block_size(monkeypatch, block):
+    # the completion reads the canonical subgraphs block by block; the
+    # provenance lists and their order do not depend on the blocks
+    T = build_dt(generate(RunConfig(n=700, seed=700, distribution="annulus")))
+    ref = select_edges(T)
+    monkeypatch.setattr(delaunay, "_SCAN_BLOCK", block)
+    sel = select_edges(T)
+    assert sel.e_a == ref.e_a
+    assert list(sel.provenance.items()) == list(ref.provenance.items())
 
 
 @pytest.mark.parametrize("k", [-500, -300, 100, 240])

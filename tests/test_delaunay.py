@@ -5,20 +5,32 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay as QhullDelaunay
 from scipy.spatial import QhullError
 
-from conftest import random_points
-from oracles import canonical_edges, dt_oracle, reference_certify, reference_hull
+from conftest import arc_fan, random_points
+from oracles import (
+    canonical_edges,
+    dt_oracle,
+    reference_certify,
+    reference_hull,
+    reference_subgraph,
+)
 from d8span import builder, delaunay
 from d8span.analysis import run_audits
 from d8span.builder import add_incident, construct_d8, sort_edges
 from d8span.delaunay import (
+    CanonicalSubgraph,
     ConstructionError,
     build_dt,
     canonical_subgraph,
+    canonical_subgraphs,
     certify_delaunay,
     cone_neighbourhood,
+    cones_of,
+    edge_arrays,
     edge_key,
     triangulation_from_triangles,
 )
@@ -390,6 +402,94 @@ def test_canonical_edges_match_oracle(make):
             assert cone_neighbourhood(T, p, i).canonical_edges == canonical_edges(
                 T, p, i
             )
+
+
+def _array_subgraphs(T) -> dict:
+    """``canonical_subgraphs`` of every oriented edge, as CanonicalSubgraph
+    values, after checking each block's per-edge facts against its ragged
+    arrays."""
+    nbr = T._nbr
+    out = {}
+    for b in canonical_subgraphs(T, *edge_arrays(sorted(T.edges))):
+        m, c = np.cumsum(b.kept) - b.kept, np.cumsum(b.edges) - b.edges
+        for k in range(len(b.p)):
+            vertices = tuple(b.members[m[k] : m[k] + b.kept[k]].tolist())
+            slots = b.canonical[c[k] : c[k] + b.edges[k]].tolist()
+            edges = tuple((nbr[s], nbr[s + 1]) for s in slots)
+            can = CanonicalSubgraph(
+                int(b.p[k]), int(b.r[k]), int(b.cone[k]), vertices, edges
+            )
+            assert (b.first[k], b.last[k]) == (can.first_vertex, can.last_vertex)
+            assert b.is_path[k] == can.is_path()
+            ends = [slots[0], slots[-1]] if slots else [-1, -1]
+            assert [b.first_edge[k], b.last_edge[k]] == ends
+            out[can.apex, can.anchor] = can
+    return out
+
+
+def _assert_subgraphs_match_reference(T):
+    got = _array_subgraphs(T)
+    assert len(got) == 2 * len(T.edges)
+    for (p, r), can in got.items():
+        assert can == reference_subgraph(T, p, r)
+
+
+@_CONE_CASES
+def test_canonical_subgraphs_match_reference(make):
+    _assert_subgraphs_match_reference(make())
+
+
+@pytest.mark.parametrize("k", [3, 10, 60])
+@pytest.mark.parametrize("jagged", [False, True], ids=["arc", "jagged"])
+def test_canonical_subgraphs_match_reference_on_fans(k, jagged):
+    _assert_subgraphs_match_reference(arc_fan(k, jagged))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-100, max_value=100, allow_nan=False),
+            st.floats(min_value=-100, max_value=100, allow_nan=False),
+        ),
+        min_size=3,
+        max_size=14,
+        unique_by=lambda p: p[1],  # no two points on a horizontal line
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_canonical_subgraphs_match_reference_on_small_sets(pairs):
+    try:
+        T = build_dt(PointSet.from_pairs(pairs))
+    except (GeneralPositionError, ConstructionError):
+        assume(False)
+    _assert_subgraphs_match_reference(T)
+
+
+@pytest.mark.parametrize("block", [2, 3, 8])
+def test_canonical_subgraphs_blocks(monkeypatch, block):
+    # one edge, an odd number of oriented edges and several edges per block
+    # give the same subgraphs as one block
+    T = build_dt(generate(RunConfig(n=300, seed=5, distribution="annulus")))
+    whole = _array_subgraphs(T)
+    monkeypatch.setattr(delaunay, "_SCAN_BLOCK", block)
+    assert _array_subgraphs(T) == whole
+
+
+def test_canonical_subgraphs_reject_non_edge():
+    T = build_dt(random_points(11, 30))
+    u, v = next((0, v) for v in range(1, 30) if (0, v) not in T.edges)
+    with pytest.raises(ValueError, match="not a triangulation edge"):
+        list(canonical_subgraphs(T, np.array([u]), np.array([v])))
+    assert list(canonical_subgraphs(T, *edge_arrays([]))) == []
+
+
+def test_cones_of_matches_cone_of():
+    T = build_dt(random_points(11, 60))
+    n = len(T.points)
+    p, q = np.divmod(np.arange(n * n), n)
+    got = cones_of(T, p, q).tolist()
+    for a, b, c in zip(p.tolist(), q.tolist(), got):
+        assert c == (T.cone_of(a, b) if T.is_edge(a, b) else -1)
 
 
 def test_canonical_mask_python_int_keys(monkeypatch):

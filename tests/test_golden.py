@@ -8,22 +8,19 @@ without the stretch section and with it.  Regenerate with
 change, and say why in CHANGES.md.
 
 ``FAILING`` pins the reports of selections the lemma audits reject: the
-negative controls of ``tests/test_analysis.py`` and a random selection on
-which three lemmas fail, at two different edges.  They pin each lemma's first
+negative controls of ``tests/test_analysis.py`` and its random selection, on
+which three lemmas fail at two different edges.  They pin each lemma's first
 counterexample.
 """
 
 import hashlib
 
-import numpy as np
 import pytest
 
 import test_analysis
-from conftest import random_points
 from d8span.analysis import run_audits, witness_path
-from d8span.builder import EdgeSelection, construct_d8
+from d8span.builder import construct_d8
 from d8span.cli import _serialize_edges
-from d8span.delaunay import build_dt
 from d8span.pointio import RunConfig, generate
 from d8span.report import report_json
 
@@ -80,17 +77,6 @@ CASES = {
 }
 
 
-def random_selection_fixture():
-    """A random 30 % of the Delaunay edges as E_A and the rest as E_CAN: the
-    canonical-path and anchor-cone lemmas fail at one selected edge, the
-    extremal-cone lemma at another."""
-    T = build_dt(random_points(114, 80))
-    edges = sorted(T.edges)
-    drawn = np.random.default_rng(114).random(len(edges)) < 0.3
-    e_a = frozenset(e for e, d in zip(edges, drawn) if d)
-    return T, EdgeSelection(e_a=e_a, e_can=frozenset(edges) - e_a)
-
-
 FAILING = {
     "canonical_path": (
         test_analysis.find_canonical_path_corruption,
@@ -113,7 +99,7 @@ FAILING = {
         "6e40045671a67c126003a93fc51ac577e526148d4af25e7572d859272fe820e9",
     ),
     "random_selection": (
-        random_selection_fixture,
+        test_analysis.random_selection_fixture,
         "6b120a452d7c07793e630df1eec3db481aa832aa041e7b035e56571ff49c341c",
     ),
 }
