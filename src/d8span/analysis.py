@@ -9,11 +9,13 @@ the degree proof rests on.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .builder import ConstructionError, EdgeSelection, e_a_occupant
@@ -29,7 +31,8 @@ from .delaunay import (
 from .geometry import (
     PointSet,
     bisector_distance,
-    canonical_triangle,
+    canonical_corners,
+    cone_index,
     cone_indices,
     euclid,
 )
@@ -54,14 +57,21 @@ BOUND_RTOL = 1e-9
 
 
 def _graph(ps: PointSet, edges) -> csr_matrix:
-    """Sparse n x n adjacency over the given edges with Euclidean weights."""
+    """Symmetric sparse n x n adjacency over the given edges with Euclidean
+    weights: each pair once whichever way round or however often it is
+    given, and no loops."""
     n = len(ps)
-    rows, cols, vals = [], [], []
-    for u, v in edges:
-        rows.append(u)
-        cols.append(v)
-        vals.append(euclid(ps[u], ps[v]))
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+    u, v = edge_arrays(edges)
+    lo, hi = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+    lo, hi = lo[lo < hi], hi[lo < hi]
+    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    with np.errstate(over="ignore"):
+        dx, dy = xs[hi] - xs[lo], ys[hi] - ys[lo]
+    # math.hypot, as euclid computes it
+    w = list(map(math.hypot, dx.tolist(), dy.tolist()))
+    return csr_matrix(
+        (w + w, (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n)
+    )
 
 
 def distance_matrix(ps: PointSet, edges) -> np.ndarray:
@@ -69,7 +79,7 @@ def distance_matrix(ps: PointSet, edges) -> np.ndarray:
     weights."""
     if len(ps) == 0:
         return np.zeros((0, 0))
-    return _csgraph_dijkstra(_graph(ps, edges), directed=False)
+    return _csgraph_dijkstra(_graph(ps, edges), directed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -80,30 +90,30 @@ def degree_audit(T: Triangulation, sel: EdgeSelection):
     """Degree histogram and maxima of the selected graph (and of the
     incident-only subset)."""
     n = len(T.points)
-    deg = [0] * n
-    for u, v in sel.d8_edges:
-        deg[u] += 1
-        deg[v] += 1
-    deg_a = [0] * n
-    for u, v in sel.e_a:
-        deg_a[u] += 1
-        deg_a[v] += 1
-    hist: dict[int, int] = {}
-    for d in deg:
-        hist[d] = hist.get(d, 0) + 1
+    deg_a = np.bincount(np.concatenate(edge_arrays(sel.e_a)), minlength=n)
+    # E_CAN - E_A: the rest of the union, without building it
+    rest = np.concatenate(edge_arrays(sel.e_can - sel.e_a))
+    deg = deg_a + np.bincount(rest, minlength=n)
+    hist = np.bincount(deg)
+    degrees = np.flatnonzero(hist)
     return {
-        "histogram": dict(sorted(hist.items())),
-        "max_degree": max(deg, default=0),
-        "e_a_max_degree": max(deg_a, default=0),
+        "histogram": dict(zip(degrees.tolist(), hist[degrees].tolist())),
+        "max_degree": int(deg.max(initial=0)),
+        "e_a_max_degree": int(deg_a.max(initial=0)),
     }
 
 
 def subgraph_audit(T: Triangulation, sel: EdgeSelection):
     """Verify the selection is a subset of the triangulation's edges.  That
     also proves it plane: ``build_dt`` certifies the triangulation, and no
-    two edges of a triangulation cross."""
-    offenders = [e for e in sel.d8_edges if e not in T.edges]
-    return {"passed": not offenders, "non_dt_edges": offenders}
+    two edges of a triangulation cross.
+
+    A set keeps each member's hash, so the subset tests read no tuple; only
+    a failing selection is scanned for its offenders."""
+    if sel.e_a <= T.edges and sel.e_can <= T.edges:
+        return {"passed": True, "non_dt_edges": []}
+    offenders = [e for e in sel.e_a | sel.e_can if e not in T.edges]
+    return {"passed": False, "non_dt_edges": offenders}
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +155,26 @@ class StretchReport:
 def canonical_bound(ps: PointSet, p: int, q: int) -> float:
     """max{|pa| + (theta/sin theta)|aq|, |pb| + (theta/sin theta)|bq|} over
     the corners a, b of the canonical triangle of (p, q)."""
-    tri = canonical_triangle(ps[p], ps[q])
-    qq = ps[q]
-    pa = math.dist((ps[p].x, ps[p].y), tri.a)
-    pb = math.dist((ps[p].x, ps[p].y), tri.b)
-    aq = math.dist(tri.a, (qq.x, qq.y))
-    bq = math.dist(tri.b, (qq.x, qq.y))
+    xs, ys = ps.xs, ps.ys
+    return _canonical_bound(xs[p], ys[p], xs[q], ys[q], cone_index(ps[p], ps[q]))
+
+
+def _canonical_bound(px: float, py: float, qx: float, qy: float, i: int) -> float:
+    """``canonical_bound`` of the points (px, py) and (qx, qy), the second in
+    cone i of the first."""
+    _, a, b = canonical_corners(px, py, qx, qy, i)
+    pa, pb = math.dist((px, py), a), math.dist((px, py), b)
+    aq, bq = math.dist(a, (qx, qy)), math.dist(b, (qx, qy))
     return max(pa + PATH_FACTOR * aq, pb + PATH_FACTOR * bq)
 
 
 #: Cells per block of source rows in ``stretch_vs_dt``: each array of a block
 #: holds about this many (source, target) entries, so memory is O(n).
 _BLOCK_CELLS = 1 << 17
+
+#: ``stretch_vs_dt`` runs its blocks in worker processes above this many
+#: points; below it, starting the workers costs more than they save.
+_FORK_POINTS = 1000
 
 
 def _max_ratio(num: np.ndarray, den: np.ndarray, where: np.ndarray) -> float:
@@ -167,12 +185,81 @@ def _max_ratio(num: np.ndarray, den: np.ndarray, where: np.ndarray) -> float:
     return float(np.max(ratio, where=where, initial=-np.inf))
 
 
+def _stretch_block(g8, xs, ys, dt_u, dt_v, rows, start):
+    """Dijkstra from the sources start, ..., start + rows - 1 on the spanner
+    g8.  Returns the first DT edge whose low end is a source (in key order,
+    the arrays dt_u and dt_v), the spanner distances of those edges, and the
+    largest ratio of spanner to Euclidean distance over the pairs (u, v),
+    u < v, with u a source: each pair read from the row of its lower id."""
+    n = len(xs)
+    block = np.arange(start, min(start + rows, n))
+    d8 = _csgraph_dijkstra(g8, directed=True, indices=block)
+    later = slice(start + 1, n)
+    dx = xs[block, None] - xs[None, later]
+    dy = ys[block, None] - ys[None, later]
+    ed = np.sqrt(dx**2 + dy**2)
+    upper = np.arange(start + 1, n)[None, :] > block[:, None]
+    lo, hi = np.searchsorted(dt_u, (block[0], block[-1] + 1))
+    paths = d8[dt_u[lo:hi] - start, dt_v[lo:hi]]
+    return int(lo), paths, _max_ratio(d8[:, later], ed, upper)
+
+
+#: ``_stretch_block``'s arguments but the start, in a worker process.
+_worker_args: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_block(start: int):
+    return _stretch_block(*_worker_args, start)
+
+
+def _stretch_blocks(args: tuple, starts: range, fork: bool) -> list:
+    """``_stretch_block`` of each start: if ``fork``, in forked worker
+    processes, one per usable CPU, where there are two CPUs and two blocks,
+    the fork start method exists and this process may have children (a
+    daemonic worker may not); here otherwise.  The workers read ``args`` as
+    the fork left them, and are gone when this returns or raises."""
+    cpus = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    )
+    workers = min(cpus or 1, len(starts))
+    if fork and workers > 1:
+        import multiprocessing
+
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+        ):
+            ctx = multiprocessing.get_context("fork")
+            pool = ctx.Pool(workers, initializer=_init_worker, initargs=args)
+            try:
+                out = list(pool.imap_unordered(_worker_block, starts))
+            except BaseException:
+                pool.terminate()
+                raise
+            else:
+                pool.close()
+            finally:
+                pool.join()
+            return out
+    return [_stretch_block(*args, start) for start in starts]
+
+
 def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     """Spanner distances against DT and Euclidean distances: per DT edge and
     the maxima over all vertex pairs.
 
-    One Dijkstra per source, on the spanner only, streamed in blocks of source
-    rows so that no n x n array is ever held.
+    One Dijkstra per source, on the spanner only, in blocks of source rows so
+    that no n x n array is ever held; above ``_FORK_POINTS`` points the
+    blocks run in worker processes.  Every float is the same whichever
+    process or block computes it: Dijkstra's distance from s to v is the
+    least float path length, summed edge by edge from s, over all paths, and
+    that depends on neither the other sources of its call nor the order in
+    which it scans the edges.
 
     ``all_pairs_max_ratio_vs_dt`` is ``max_edge_ratio``, so no Dijkstra runs
     on the triangulation. A DT shortest path between two vertices is a chain
@@ -188,42 +275,37 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     n = len(ps)
     if n < 2:
         return StretchReport({}, 1.0, 1.0, 1.0, connected=True)
-    g8 = _graph(ps, sel.d8_edges)
-    coords = ps.coords()
-    xs, ys = coords[:, 0], coords[:, 1]
-    targets: list[list[int]] = [[] for _ in range(n)]
-    for u, v in T.edges:
-        targets[u].append(v)
-    path_length = {}
-    vs_euclid = -math.inf
+    g8 = _graph(ps, sel.e_a | sel.e_can)
+    if connected_components(g8, directed=False, return_labels=False) > 1:
+        return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
+    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    # u is non-decreasing in key order, so the edges at a low end are a slice
+    dt_u, dt_v = np.divmod(T._keys, n)
     rows = max(1, _BLOCK_CELLS // n)
-    for start in range(0, n, rows):
-        block = np.arange(start, min(start + rows, n))
-        d8 = _csgraph_dijkstra(g8, directed=False, indices=block)
-        if start == 0 and not np.all(np.isfinite(d8[0])):
-            return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
-        dx = xs[block, None] - xs[None, :]
-        dy = ys[block, None] - ys[None, :]
-        ed = np.sqrt(dx**2 + dy**2)
-        upper = np.arange(n)[None, :] > block[:, None]
+    args = (g8, xs, ys, dt_u, dt_v, rows)
+    path = np.empty(len(dt_u))
+    vs_euclid = -math.inf
+    for lo, paths, ratio in _stretch_blocks(args, range(0, n, rows), n > _FORK_POINTS):
+        path[lo : lo + len(paths)] = paths
         # np.maximum, not max(), so that a NaN block result is kept
-        vs_euclid = float(np.maximum(vs_euclid, _max_ratio(d8, ed, upper)))
-        for r, u in enumerate(block.tolist()):
-            for v in targets[u]:
-                path_length[(u, v)] = float(d8[r, v])
+        vs_euclid = float(np.maximum(vs_euclid, ratio))
+    ends = xs[dt_u], ys[dt_u], xs[dt_v], ys[dt_v]
+    with np.errstate(over="ignore"):
+        cones = cone_indices(ends[2] - ends[0], ends[3] - ends[1])
     per_edge = {}
     max_edge_ratio = 1.0
-    for u, v in T.edges:
-        d = euclid(ps[u], ps[v])
-        s = EdgeStretch(
-            path_length=path_length[(u, v)],
+    for e, i, length, px, py, qx, qy in zip(
+        T._by_key, cones.tolist(), path.tolist(), *(c.tolist() for c in ends)
+    ):
+        d = math.hypot(qx - px, qy - py)
+        per_edge[e] = EdgeStretch(
+            path_length=length,
             euclidean=d,
             euclid_bound=STRETCH_BOUND * d,
-            canonical_bound=canonical_bound(ps, u, v),
+            canonical_bound=_canonical_bound(px, py, qx, qy, i),
         )
-        per_edge[(u, v)] = s
         if d > 0:
-            max_edge_ratio = max(max_edge_ratio, s.path_length / d)
+            max_edge_ratio = max(max_edge_ratio, length / d)
     return StretchReport(
         per_dt_edge=per_edge,
         max_edge_ratio=max_edge_ratio,

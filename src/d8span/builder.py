@@ -68,8 +68,9 @@ def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
     into cone i+3.  At most one accepted edge per vertex-cone pair, hence
     degree at most 6.
 
-    The accepted edges are ``T.edges``' own tuples and ``occupant`` a C int
-    array, so the selection holds no second copy of an edge or of an id.
+    The accepted edges are ``T.edges``' own tuples, found by key in their
+    key-ordered list, and ``occupant`` a C int array, so the selection holds
+    no second copy of an edge or of an id.
     """
     n = len(T.points)
     occupant = array("i", [-1]) * (6 * n)
@@ -80,12 +81,8 @@ def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
             taken.append(k)
             occupant[sp] = q
             occupant[sq] = p
-    dt = list(T.edges)
-    u, v = edge_arrays(dt)
-    keys = u * n + v
-    order = np.argsort(keys)
-    at = order[np.searchsorted(keys[order], (L.u * n + L.v)[taken])]
-    return IncidentEdges([dt[k] for k in at.tolist()], occupant)
+    at = np.searchsorted(T._keys, (L.u * n + L.v)[taken])
+    return IncidentEdges([T._by_key[k] for k in at.tolist()], occupant)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,8 @@ class Triangulation:
     triangles: tuple[tuple[int, int, int], ...]  # sorted triples
     # ``triangles`` as an (m, 3) int64 array, when the caller has one
     _tri: InitVar[np.ndarray | None] = None
+    # ``edges``' own tuples in key order (u * n + v), when the caller has them
+    _ordered: InitVar[list | None] = None
     # Cone table, as C int arrays Python indexes cheaply: the far ends of
     # the 2E oriented edges grouped by (vertex, cone), clockwise within a
     # group; group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].
@@ -60,11 +62,21 @@ class Triangulation:
     _nbr: array = field(init=False, repr=False, compare=False)
     _start: array = field(init=False, repr=False, compare=False)
     _canon: bytes = field(init=False, repr=False, compare=False)
+    # ``edges``' own tuples (u, v) in key order, and their sorted keys
+    # u * n + v
+    _by_key: list = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, tri):
+    def __post_init__(self, tri, ordered):
         if tri is None:
             tri = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
-        nbr, start = _cone_table(self.points, _edge_keys(tri, len(self.points)))
+        if ordered is None:
+            ordered = sorted(self.edges)
+        u, v = edge_arrays(ordered)
+        keys = u * len(self.points) + v
+        object.__setattr__(self, "_by_key", ordered)
+        object.__setattr__(self, "_keys", keys)
+        nbr, start = _cone_table(self.points, keys)
         canon = _canonical_mask(tri, nbr, start)
         object.__setattr__(self, "_canon", canon.tobytes())
         object.__setattr__(self, "_nbr", array("i", nbr.astype(np.intc).tobytes()))
@@ -331,8 +343,9 @@ def triangulation_from_triangles(ps: PointSet, triangles) -> Triangulation:
     n = len(ps)
     tri = np.sort(np.asarray(triangles, dtype=np.int64).reshape(-1, 3), axis=1)
     u, v = np.divmod(_edge_keys(tri, n), n)
-    edges = frozenset(zip(u.tolist(), v.tolist()))
-    return Triangulation(ps, edges, tuple(zip(*(c.tolist() for c in tri.T))), tri)
+    ordered = list(zip(u.tolist(), v.tolist()))
+    triangles = tuple(zip(*(c.tolist() for c in tri.T)))
+    return Triangulation(ps, frozenset(ordered), triangles, tri, ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -348,13 +348,20 @@ class CanonicalTriangle:
 
 def canonical_triangle(p, q) -> CanonicalTriangle:
     i = cone_index(p, q)
-    h = bisector_distance(p, q)
+    h, a, b = canonical_corners(p.x, p.y, q.x, q.y, i)
+    return CanonicalTriangle(apex=Point(p.id, p.x, p.y), cone=i, height=h, a=a, b=b)
+
+
+def canonical_corners(px: float, py: float, qx: float, qy: float, i: int):
+    """Height and corners a, b of the canonical triangle of (px, py) and
+    (qx, qy), the second point known to lie in cone i of the first."""
+    h = bisector_in_cone(qx - px, qy - py, i)
     ux, uy = CONE_BISECTORS[i]
     # Left of the bisector direction is the rotated vector (-uy, ux).
     lx, ly = -uy, ux
-    a = (p.x + h * (ux + TAN30 * lx), p.y + h * (uy + TAN30 * ly))
-    b = (p.x + h * (ux - TAN30 * lx), p.y + h * (uy - TAN30 * ly))
-    return CanonicalTriangle(apex=Point(p.id, p.x, p.y), cone=i, height=h, a=a, b=b)
+    a = (px + h * (ux + TAN30 * lx), py + h * (uy + TAN30 * ly))
+    b = (px + h * (ux - TAN30 * lx), py + h * (uy - TAN30 * ly))
+    return h, a, b
 
 
 def euclid(p, q) -> float:

@@ -9,7 +9,8 @@ their definitions.  The scalar references (``reference_certify``,
 arrays: one predicate call per triangle, edge or vertex, on ``Point``
 objects.  ``reference_subgraph_lemmas`` is the subgraph-lemma audit as it ran
 before it moved to arrays: one scalar canonical subgraph per oriented E_A
-edge.
+edge; ``reference_degree_audit`` and ``reference_subgraph_audit`` are the
+degree and subgraph audits as Python loops over the selection.
 """
 
 import itertools
@@ -391,3 +392,32 @@ def reference_subgraph_lemmas(T, sel) -> list[AuditVerdict]:
         AuditVerdict(name, name not in found, found.get(name))
         for name in ("canonical_path", "anchor_cones", "extremal_cone")
     ]
+
+
+def reference_degree_audit(T, sel) -> dict:
+    """``degree_audit`` as it ran before it moved to arrays: one loop over
+    the union of E_A and E_CAN and one over E_A."""
+    n = len(T.points)
+    deg = [0] * n
+    for u, v in sel.d8_edges:
+        deg[u] += 1
+        deg[v] += 1
+    deg_a = [0] * n
+    for u, v in sel.e_a:
+        deg_a[u] += 1
+        deg_a[v] += 1
+    hist: dict[int, int] = {}
+    for d in deg:
+        hist[d] = hist.get(d, 0) + 1
+    return {
+        "histogram": dict(sorted(hist.items())),
+        "max_degree": max(deg, default=0),
+        "e_a_max_degree": max(deg_a, default=0),
+    }
+
+
+def reference_subgraph_audit(T, sel) -> dict:
+    """``subgraph_audit`` as it ran before it moved to arrays: a set lookup
+    per selected pair."""
+    offenders = [e for e in sel.d8_edges if e not in T.edges]
+    return {"passed": not offenders, "non_dt_edges": offenders}

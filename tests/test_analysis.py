@@ -1,12 +1,24 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from conftest import arc_fan, random_points
-from oracles import crossings, reference_subgraph_lemmas, wedge_angles
+from oracles import (
+    crossings,
+    reference_degree_audit,
+    reference_subgraph_audit,
+    reference_subgraph_lemmas,
+    wedge_angles,
+)
 from d8span import analysis, delaunay
 from d8span.analysis import (
     BOUND_RTOL,
@@ -37,7 +49,7 @@ from d8span.delaunay import (
     edge_key,
     triangulation_from_triangles,
 )
-from d8span.geometry import PointSet, cone_index, euclid
+from d8span.geometry import PointSet, canonical_triangle, cone_index, euclid
 from d8span.pointio import RunConfig, generate
 
 
@@ -136,9 +148,17 @@ def test_stretch_disconnected_flagged(small_instance):
 
 def _dense_stretch(ps, T, sel):
     """Spanner distance matrix and the two all-pairs maxima, computed from
-    full n x n matrices."""
-    d8 = distance_matrix(ps, sel.d8_edges)
-    dt = distance_matrix(ps, T.edges)
+    full n x n matrices: each distance matrix from an undirected Dijkstra on
+    a graph holding each edge once, as given."""
+
+    def distances(edges):
+        u, v = zip(*edges)
+        w = [euclid(ps[a], ps[b]) for a, b in edges]
+        g = csr_matrix((w, (u, v)), shape=(len(ps), len(ps)))
+        return dijkstra(g, directed=False)
+
+    d8 = distances(sel.d8_edges)
+    dt = distances(T.edges)
     coords = ps.coords()
     diff = coords[:, None, :] - coords[None, :, :]
     ed = np.sqrt((diff**2).sum(axis=2))
@@ -178,14 +198,48 @@ _STREAMED_CASES = (
 )
 
 
-@pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
-def test_streamed_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
+def _point_canonical_bound(ps, p, q):
+    """``canonical_bound`` as it ran on ``Point`` objects."""
+    tri = canonical_triangle(ps[p], ps[q])
+    pp, qq = (ps[p].x, ps[p].y), (ps[q].x, ps[q].y)
+    pa, pb = math.dist(pp, tri.a), math.dist(pp, tri.b)
+    aq, bq = math.dist(tri.a, qq), math.dist(tri.b, qq)
+    return max(pa + PATH_FACTOR * aq, pb + PATH_FACTOR * bq)
+
+
+def _fork_at_every_size(monkeypatch) -> list:
+    """Make ``stretch_vs_dt`` run its blocks in worker processes at every
+    size; returns the list of the start methods it asks for."""
+    monkeypatch.setattr(analysis, "_FORK_POINTS", 0)
+    asked = []
+    get_context = multiprocessing.get_context
+
+    def spy(method=None):
+        asked.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return asked
+
+
+def _pool_expected(n, cells):
+    """Whether the forked path can start a pool: two blocks and two CPUs."""
+    blocks = -(-n // max(1, cells // n))
+    return (
+        blocks > 1
+        and len(os.sched_getaffinity(0)) > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+
+
+def _check_streamed(monkeypatch, dist, n, seed, cells, degrade):
     ps = generate(RunConfig(n=n, seed=seed, distribution=dist))
     T, sel = construct_d8(ps)
     if degrade:
         sel = _degraded(T, sel)
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
     s = stretch_vs_dt(T, sel)
+    assert not multiprocessing.active_children()
     d8, vs_dt, vs_euclid = _dense_stretch(ps, T, sel)
     assert s.connected
     assert s.all_pairs_max_ratio_vs_dt == vs_dt
@@ -193,10 +247,46 @@ def test_streamed_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrad
     assert {e: x.path_length for e, x in s.per_dt_edge.items()} == {
         (u, v): float(d8[u, v]) for u, v in T.edges
     }
+    # the per-edge bounds are those of the Point functions, bit for bit
+    for (u, v), x in s.per_dt_edge.items():
+        assert x.euclidean == euclid(ps[u], ps[v])
+        assert x.canonical_bound == _point_canonical_bound(ps, u, v)
 
 
-@pytest.mark.parametrize("cells", [1, 1 << 20], ids=["row", "one"])
-def test_stretch_isolated_last_vertex_disconnected(monkeypatch, small_instance, cells):
+@pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
+def test_streamed_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
+    monkeypatch.setattr(analysis, "_FORK_POINTS", math.inf)
+    _check_streamed(monkeypatch, dist, n, seed, cells, degrade)
+
+
+@pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
+def test_forked_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
+    asked = _fork_at_every_size(monkeypatch)
+    _check_streamed(monkeypatch, dist, n, seed, cells, degrade)
+    assert asked == (["fork"] if _pool_expected(n, cells) else [])
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["serial", "forked"])
+def test_stretch_hand_written_selection_equals_dense(monkeypatch, fork):
+    # a non-DT pair, an edge given both ways round, and a loop: each pair
+    # weighs its length once
+    T, sel = _hand_written()
+    if fork:
+        _fork_at_every_size(monkeypatch)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 7 * len(T.points))
+    s = stretch_vs_dt(T, sel)
+    assert not multiprocessing.active_children()
+    d8, vs_dt, vs_euclid = _dense_stretch(T.points, T, sel)
+    assert s.connected
+    assert (s.all_pairs_max_ratio_vs_dt, s.all_pairs_max_ratio_vs_euclid) == (
+        vs_dt, vs_euclid
+    )
+    assert {e: x.path_length for e, x in s.per_dt_edge.items()} == {
+        (u, v): float(d8[u, v]) for u, v in T.edges
+    }
+
+
+def _check_isolated_last_vertex(monkeypatch, small_instance, cells):
     ps, T, sel = small_instance
     last = len(ps) - 1
     cut = EdgeSelection(
@@ -206,11 +296,86 @@ def test_stretch_isolated_last_vertex_disconnected(monkeypatch, small_instance, 
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
     s = stretch_vs_dt(T, cut)
     assert not s.connected and not s.ok
+    assert not multiprocessing.active_children()
 
 
-def test_stretch_memory_below_one_dense_matrix():
+@pytest.mark.parametrize("cells", [1, 1 << 20], ids=["row", "one"])
+def test_stretch_isolated_last_vertex_disconnected(monkeypatch, small_instance, cells):
+    _check_isolated_last_vertex(monkeypatch, small_instance, cells)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 20], ids=["row", "one"])
+def test_forked_stretch_isolated_last_vertex_disconnected(
+    monkeypatch, small_instance, cells
+):
+    # connectivity is decided before any worker starts
+    asked = _fork_at_every_size(monkeypatch)
+    _check_isolated_last_vertex(monkeypatch, small_instance, cells)
+    assert asked == []
+
+
+@pytest.mark.skipif(
+    not _pool_expected(201, 201), reason="needs two CPUs and the fork start method"
+)
+def test_stretch_worker_error_propagates(monkeypatch):
+    # a worker that raises: the error reaches the caller, and no worker is
+    # left behind
+    T, sel = construct_d8(generate(RunConfig(n=201, seed=8, distribution="annulus")))
+    monkeypatch.setattr(analysis, "_FORK_POINTS", 0)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 201)
+
+    def boom(*args, **kwargs):
+        raise ValueError(f"boom in {os.getpid()}")
+
+    monkeypatch.setattr(analysis, "_csgraph_dijkstra", boom)
+    with pytest.raises(ValueError, match="boom in") as err:
+        stretch_vs_dt(T, sel)
+    assert str(os.getpid()) not in str(err.value)
+    assert not multiprocessing.active_children()
+
+
+def _stretch_figures(dist, n, seed):
+    T, sel = construct_d8(generate(RunConfig(n=n, seed=seed, distribution=dist)))
+    s = stretch_vs_dt(T, sel)
+    return s.all_pairs_max_ratio_vs_euclid, [x.path_length for x in s.per_dt_edge.values()]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_stretch_in_a_daemonic_worker(monkeypatch):
+    # a pool's worker may not start workers of its own: it runs the blocks
+    # itself, with the same figures
+    monkeypatch.setattr(analysis, "_FORK_POINTS", 0)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 201)
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        got = pool.apply_async(_stretch_figures, ("annulus", 201, 8)).get(timeout=120)
+    finally:
+        pool.terminate()
+        pool.join()
+    assert got == _stretch_figures("annulus", 201, 8)
+    assert not multiprocessing.active_children()
+
+
+def test_import_leaves_multiprocessing_out():
+    # the workers' module is imported only when a stretch audit forks, so
+    # that importing the package stays as fast as it was
+    code = "import sys, d8span; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(analysis.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_stretch_memory_below_one_dense_matrix(monkeypatch):
     n = 2000
     T, sel = construct_d8(generate(RunConfig(n=n, seed=3, distribution="annulus")))
+    # in this process, so that tracemalloc sees the blocks
+    monkeypatch.setattr(analysis, "_FORK_POINTS", n)
     tracemalloc.start()
     try:
         s = stretch_vs_dt(T, sel)
@@ -535,6 +700,42 @@ _LEMMA_CASES = {
     "two_in_one_cone": two_in_one_cone_fixture,
     "non_dt": non_dt_fixture,
 }
+
+
+def _golden_selection(dist, n, seed):
+    return lambda: construct_d8(generate(RunConfig(n=n, seed=seed, distribution=dist)))
+
+
+def _hand_written():
+    """A hand-written selection: a non-DT pair, a DT edge high end first and
+    the same edge low end first, a loop, and two E_A edges in one cone."""
+    T, sel = non_dt_fixture()
+    (u, v), e = sorted(T.edges)[0], (3, 3)
+    return T, EdgeSelection(e_a=sel.e_a | {(v, u), e}, e_can=sel.e_can | {(u, v)})
+
+
+_AUDIT_CASES = {
+    **{name: _LEMMA_CASES[name] for name in sorted(_LEMMA_CASES)},
+    "golden-uniform-3": _golden_selection("uniform-square", 3, 1),
+    "golden-gaussian-50": _golden_selection("gaussian", 50, 3),
+    "golden-annulus-60": _golden_selection("annulus", 60, 2),
+    "golden-uniform-260": _golden_selection("uniform-square", 260, 11),
+    "hand-written": _hand_written,
+    "one-point": lambda: construct_d8(PointSet.from_pairs([(1, 2)])),
+}
+
+
+@pytest.mark.parametrize("name", list(_AUDIT_CASES))
+def test_degree_and_subgraph_audits_match_loops(name):
+    # the same dicts as the loops over the selection: keys and their order,
+    # Python ints, and the offenders in the selection's iteration order
+    T, sel = _AUDIT_CASES[name]()
+    for got, want in (
+        (degree_audit(T, sel), reference_degree_audit(T, sel)),
+        (subgraph_audit(T, sel), reference_subgraph_audit(T, sel)),
+    ):
+        assert repr(got) == repr(want)
+        assert list(got.get("histogram", {})) == list(want.get("histogram", {}))
 
 
 @pytest.mark.parametrize("block", [None, 2, 5], ids=["one-block", "block2", "block5"])
