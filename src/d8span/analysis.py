@@ -21,6 +21,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .builder import ConstructionError, EdgeSelection, e_a_occupant
 from .delaunay import (
     Triangulation,
+    _ragged,
     canonical_subgraph,
     canonical_subgraphs,
     cones_of,
@@ -56,12 +57,11 @@ BOUND_RTOL = 1e-9
 # Shortest paths
 
 
-def _graph(ps: PointSet, edges) -> csr_matrix:
-    """Symmetric sparse n x n adjacency over the given edges with Euclidean
-    weights: each pair once whichever way round or however often it is
-    given, and no loops."""
+def _graph(ps: PointSet, u: np.ndarray, v: np.ndarray) -> csr_matrix:
+    """Symmetric sparse n x n adjacency over the edges (u[k], v[k]) with
+    Euclidean weights: each pair once whichever way round or however often
+    it is given, and no loops."""
     n = len(ps)
-    u, v = edge_arrays(edges)
     lo, hi = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
     lo, hi = lo[lo < hi], hi[lo < hi]
     xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
@@ -79,7 +79,7 @@ def distance_matrix(ps: PointSet, edges) -> np.ndarray:
     weights."""
     if len(ps) == 0:
         return np.zeros((0, 0))
-    return _csgraph_dijkstra(_graph(ps, edges), directed=True)
+    return _csgraph_dijkstra(_graph(ps, *edge_arrays(edges)), directed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +90,14 @@ def degree_audit(T: Triangulation, sel: EdgeSelection):
     """Degree histogram and maxima of the selected graph (and of the
     incident-only subset)."""
     n = len(T.points)
-    deg_a = np.bincount(np.concatenate(edge_arrays(sel.e_a)), minlength=n)
-    # E_CAN - E_A: the rest of the union, without building it
-    rest = np.concatenate(edge_arrays(sel.e_can - sel.e_a))
-    deg = deg_a + np.bincount(rest, minlength=n)
+    (u, v), (cu, cv) = sel.edge_arrays
+    deg_a = np.bincount(np.concatenate([u, v]), minlength=n)
+    # E_CAN - E_A, the rest of the union, by the keys of the pairs as given;
+    # n * n exceeds every key, so each search lands inside the array
+    e_a = np.append(np.sort(u * n + v), n * n)
+    key = cu * n + cv
+    rest = e_a[np.searchsorted(e_a, key)] != key
+    deg = deg_a + np.bincount(np.concatenate([cu[rest], cv[rest]]), minlength=n)
     hist = np.bincount(deg)
     degrees = np.flatnonzero(hist)
     return {
@@ -275,7 +279,8 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     n = len(ps)
     if n < 2:
         return StretchReport({}, 1.0, 1.0, 1.0, connected=True)
-    g8 = _graph(ps, sel.e_a | sel.e_can)
+    (u, v), (cu, cv) = sel.edge_arrays
+    g8 = _graph(ps, np.concatenate([u, cu]), np.concatenate([v, cv]))
     if connected_components(g8, directed=False, return_labels=False) > 1:
         return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
     xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
@@ -489,16 +494,28 @@ def _keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.sort((u * n + v)[(0 <= u) & (u < v) & (v < n)])
 
 
-def _selected_cones(T, e_a: np.ndarray, e_can) -> np.ndarray:
-    """Entry 6v + i is true when a selected edge leaves v into cone i; the
-    selection is E_A's ``_keys`` and the pairs of ``e_can``."""
+def _dt_cones(T, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pairs (u[k], v[k]) that are triangulation edges, either way
+    round, and the cone of u[k] holding v[k]."""
     n = len(T.points)
-    selected = np.zeros(6 * n, dtype=bool)
-    for keys in (e_a, _keys(*edge_arrays(e_can), n)):
-        u, v = np.divmod(keys, n)
-        for p, q in ((u, v), (v, u)):
-            cone = cones_of(T, p, q)
-            selected[(6 * p + cone)[cone >= 0]] = True
+    cone = np.full(len(u), -1, dtype=np.int8)
+    ids = (0 <= u) & (u < n) & (0 <= v) & (v < n)
+    cone[ids] = cones_of(T, u[ids], v[ids])
+    dt = cone >= 0
+    return u[dt], v[dt], cone[dt]
+
+
+def _selected_cones(T, u: np.ndarray, v: np.ndarray, cone: np.ndarray) -> np.ndarray:
+    """Entry 6w + i is true when a selected edge leaves w into cone i; the
+    selection is the triangulation edges (u[k], v[k]) with v[k] in cone[k]
+    of u[k], of which only those with u[k] < v[k] count, as in
+    ``has_d8_edge``."""
+    selected = np.zeros(6 * len(T.points), dtype=bool)
+    low = u < v
+    u, v, cone = u[low], v[low], cone[low]
+    selected[6 * u + cone] = True
+    # negating a direction moves cone_indices to the opposite cone
+    selected[6 * v + (cone + 3) % 6] = True
     return selected
 
 
@@ -511,17 +528,13 @@ def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
     reports it.  The counterexamples are rebuilt with the scalar
     ``canonical_subgraph``."""
     n = len(T.points)
-    u, v = edge_arrays(sel.e_a)
-    e_a = _keys(u, v, n)
-    selected = _selected_cones(T, e_a, sel.e_can)
+    (u, v), (cu, cv) = sel.edge_arrays
     # n * n exceeds every key, so each search lands inside the array
-    e_a = np.append(e_a, n * n)
-    if not sel.e_a <= T.edges:
-        dt = (0 <= u) & (u < n) & (0 <= v) & (v < n)
-        dt[dt] = cones_of(T, u[dt], v[dt]) >= 0
-        u, v = u[dt], v[dt]
+    e_a = np.append(_keys(u, v, n), n * n)
+    u, v, cone = _dt_cones(T, u, v)
+    selected = _selected_cones(T, u, v, cone) | _selected_cones(T, *_dt_cones(T, cu, cv))
     found: dict[str, dict] = {}
-    for b in canonical_subgraphs(T, u, v):
+    for b in canonical_subgraphs(T, u, v, cone):
         p, r, i = b.p, b.r, b.cone
         if "canonical_path" not in found and not b.is_path.all():
             k = int(np.argmin(b.is_path))
@@ -593,77 +606,149 @@ def audit_extremal_cone(T, sel) -> AuditVerdict:
     return _subgraph_lemmas(T, sel)[2]
 
 
+#: Slack of the array filter in ``audit_wedge_angles``: far above the few
+#: ulps by which ``np.arctan2`` and ``math.atan2`` may differ.
+_WEDGE_MARGIN = 1e-12
+#: Angle pairs computed per block in ``audit_wedge_angles``.
+_WEDGE_BLOCK = 1 << 14
+
+
+def _angles(xs, ys, a, x, b) -> np.ndarray:
+    """``_angle`` for arrays of ids: the same float operations in turn."""
+    v1x, v1y = xs[a] - xs[x], ys[a] - ys[x]
+    v2x, v2y = xs[b] - xs[x], ys[b] - ys[x]
+    return np.abs(np.arctan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y))
+
+
 def audit_wedge_angles(T, sel=None) -> AuditVerdict:
     """For any strictly intermediate neighbour x in a cone of p, the angle at
     x facing p (the interior angle of the quadrilateral p, r, x, q, possibly
     reflex) exceeds 2*pi/3.
 
-    Quadratic per cone: float addition is monotone, so angle(a, x, p) plus
-    the least angle(p, x, b) over later b is within the limit exactly when
-    some b's sum is; only then are the b scanned for the first."""
-    ps = T.points
+    Float addition is monotone, so angle(a, x, p) plus the least angle(p, x,
+    b) over later b is within the limit exactly when some b's sum is.  One
+    ragged pass over the intermediate members x of every cone, a block of
+    them at a time, computes those sums as arrays and flags the pairs (a, x)
+    within ``_WEDGE_MARGIN`` of the limit; the scalar rule then decides the
+    flagged pairs in (cone, a, x) order, so the verdict and the reported
+    angle are those of ``_angle``."""
     limit = 2 * math.pi / 3 - 1e-9
-    for g in np.flatnonzero(T.cone_sizes() > 2).tolist():
-        p, i = divmod(g, 6)
-        members = T.cone(p, i)
-        m = len(members)
-        # far[x - 1][k]: the angle at x between p and members[x + 1 + k]
-        far = [
-            [_angle(ps, p, members[x], members[b]) for b in range(x + 1, m)]
-            for x in range(1, m - 1)
-        ]
-        # a NaN angle never qualifies
-        least = [min((f for f in row if f == f), default=math.inf) for row in far]
-        for a in range(m - 2):
-            for x in range(a + 1, m - 1):
-                near = _angle(ps, members[a], members[x], p)
-                if near + least[x - 1] <= limit:
-                    row = far[x - 1]
-                    k = next(k for k, f in enumerate(row) if near + f <= limit)
-                    triple = (members[a], members[x], members[x + 1 + k])
-                    angle = near + row[k]
-                    cx = {"apex": p, "cone": i, "triple": triple, "angle": angle}
-                    return AuditVerdict("wedge_angle", False, cx)
-    return AuditVerdict("wedge_angle", True)
+    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
+    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    start = np.frombuffer(T._start, dtype=np.intc).astype(np.intp)
+    g = np.flatnonzero(np.diff(start) > 2)
+    # one row per intermediate member x: its slot and its group's bounds
+    owner, x = _ragged(start[g] + 1, np.diff(start)[g] - 2)
+    g, lo, hi = g[owner], start[g][owner], start[g + 1][owner]
+    # row x pairs with each of the other members: each later b, each earlier a
+    cost = np.cumsum(hi - lo - 1)
+    found = None  # (slot of a, slot of x, counterexample)
+    begin = 0
+    # every pair of a later block has its a at or after its first row's group
+    while begin < len(x) and (found is None or lo[begin] <= found[0]):
+        done = cost[begin - 1] if begin else 0
+        stop = max(begin + 1, int(np.searchsorted(cost, done + _WEDGE_BLOCK, "right")))
+        rows = slice(begin, stop)
+        begin = stop
+        s, p, later = x[rows], g[rows] // 6, hi[rows] - 1 - x[rows]
+        with np.errstate(all="ignore"):
+            # the angle at x between p and each later member b
+            row, b = _ragged(s + 1, later)
+            far = _angles(xs, ys, p[row], nbr[s][row], nbr[b])
+            # a NaN angle never qualifies; every row has a later member
+            least = np.fmin.reduceat(far, np.cumsum(later) - later)
+            # the angle at x between each earlier member a and p
+            row, a = _ragged(lo[rows], s - lo[rows])
+            near = _angles(xs, ys, nbr[a], nbr[s][row], p[row])
+            flagged = np.flatnonzero(near + least[row] <= limit + _WEDGE_MARGIN)
+        a, row = a[flagged], row[flagged]
+        order = np.lexsort((s[row], a))
+        pairs = (c[order].tolist() for c in (a, s[row], g[rows][row]))
+        for a_slot, x_slot, group in zip(*pairs):
+            if found is not None and (a_slot, x_slot) >= found[:2]:
+                break
+            cx = _wedge_at(T, group, a_slot, x_slot, limit)
+            if cx is not None:
+                found = (a_slot, x_slot, cx)
+                break
+    if found is None:
+        return AuditVerdict("wedge_angle", True)
+    return AuditVerdict("wedge_angle", False, found[2])
 
 
-#: Triangles classified per block in ``audit_shared_triangles``.
-_TRIANGLE_BLOCK = 1 << 13
-# The six half-edges of a sorted triple: corner k to each other corner.
-_CORNER = [0, 0, 1, 1, 2, 2]
-_OTHER = [1, 2, 0, 2, 0, 1]
+def _wedge_at(T, g: int, a_slot: int, x_slot: int, limit: float):
+    """The scalar wedge rule at the members in the cone-table slots a_slot <
+    x_slot of group g: the counterexample, or None."""
+    p, i = divmod(g, 6)
+    members = T.cone(p, i)
+    a, x = a_slot - T._start[g], x_slot - T._start[g]
+    ps = T.points
+    row = [_angle(ps, p, members[x], w) for w in members[x + 1 :]]
+    near = _angle(ps, members[a], members[x], p)
+    # a NaN angle never qualifies
+    if not near + min((f for f in row if f == f), default=math.inf) <= limit:
+        return None
+    k = next(k for k, f in enumerate(row) if near + f <= limit)
+    triple = (members[a], members[x], members[x + 1 + k])
+    return {"apex": p, "cone": i, "triple": triple, "angle": near + row[k]}
 
 
 def audit_shared_triangles(T, sel=None) -> AuditVerdict:
     """No triangle lies in the cone neighbourhoods of all three corners, and
-    no edge is the base of more than one shared triangle."""
-    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
-    base_counts: dict[tuple[int, int], list] = {}
-    for start in range(0, len(T.triangles), _TRIANGLE_BLOCK):
-        block = T.triangles[start : start + _TRIANGLE_BLOCK]
-        t = np.array(block, dtype=np.intp)
-        c, o = t[:, _CORNER].ravel(), t[:, _OTHER].ravel()
-        with np.errstate(over="ignore"):
-            cones = cone_indices(xs[o] - xs[c], ys[o] - ys[c]).reshape(-1, 3, 2)
-        # corner k is a member when its two other corners share a cone of it
-        member = cones[:, :, 0] == cones[:, :, 1]
-        for k in np.flatnonzero(member.any(axis=1)).tolist():
-            tri = block[k]
-            members = [tri[j] for j in range(3) if member[k, j]]
-            if len(members) == 3:
-                return AuditVerdict(
-                    "shared_triangle", False, {"triangle": tri, "reason": "three cones"}
-                )
-            if len(members) == 2:
-                base_counts.setdefault(edge_key(*members), []).append(tri)
-    for base, tris in base_counts.items():
-        if len(tris) > 1:
-            return AuditVerdict(
-                "shared_triangle",
-                False,
-                {"base": base, "triangles": tris, "reason": "base shared twice"},
-            )
-    return AuditVerdict("shared_triangle", True)
+    no edge is the base of more than one shared triangle.
+
+    Corner c of a triangle is a member when its two other corners share a
+    cone of c.  In a triangulation they are then consecutive in that cone,
+    so each member is one canonical slot k of the cone table, with apex c
+    and triangle {c, _nbr[k], _nbr[k + 1]}; ``_cone_table`` classifies the
+    same float differences as a scan of the corners would.  Members are
+    counted per triangle as arrays; only a failure reads ``T.triangles``,
+    for the first counterexample in its order."""
+    n = len(T.points)
+    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    start = np.frombuffer(T._start, dtype=np.intc)
+    k = np.flatnonzero(np.frombuffer(T._canon, dtype=np.bool_))
+    corner = (np.searchsorted(start, k, side="right") - 1) // 6
+    tri = np.sort(np.stack([corner, nbr[k], nbr[k + 1]]), axis=0)
+    order = np.lexsort(tri[::-1])
+    tri, corner = tri[:, order], corner[order]
+    # runs of one triangle's members
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = (tri[:, 1:] != tri[:, :-1]).any(axis=0)
+    first = np.flatnonzero(new)
+    size = np.diff(np.append(first, len(k)))
+    three = first[size == 3]
+    if len(three):
+        bad = set(map(tuple, tri[:, three].T.tolist()))
+        tri = next(t for t in T.triangles if t in bad)
+        return AuditVerdict(
+            "shared_triangle", False, {"triangle": tri, "reason": "three cones"}
+        )
+    two = first[size == 2]
+    base = np.sort(np.stack([corner[two], corner[two + 1]]), axis=0)
+    key = base[0] * n + base[1]
+    ranked = np.sort(key)
+    twice = ranked[1:][ranked[1:] == ranked[:-1]]
+    if not len(twice):
+        return AuditVerdict("shared_triangle", True)
+    # each shared triangle's base; the first base met in T.triangles order
+    shared = np.isin(key, twice)
+    base_of = dict(
+        zip(
+            map(tuple, tri[:, two[shared]].T.tolist()),
+            map(tuple, base[:, shared].T.tolist()),
+        )
+    )
+    by_base: dict[tuple[int, int], list] = {}
+    for t in T.triangles:
+        if t in base_of:
+            by_base.setdefault(base_of[t], []).append(t)
+    base, tris = next(iter(by_base.items()))
+    return AuditVerdict(
+        "shared_triangle",
+        False,
+        {"base": base, "triangles": tris, "reason": "base shared twice"},
+    )
 
 
 def audit_charged_cones(T, sel) -> AuditVerdict:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -94,11 +95,22 @@ class Provenance:
     cone: int | None = None  # cone of the end vertex examined in step 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeSelection:
     e_a: frozenset[tuple[int, int]]
     e_can: frozenset[tuple[int, int]]
     provenance: dict[tuple[int, int], list[Provenance]] = field(default_factory=dict)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The ends (u, v) of ``e_a`` and then of ``e_can``, each as two
+        read-only int arrays in the set's iteration order.  Converted on
+        first use; the selection is frozen, so they never go stale."""
+        out = (edge_arrays(self.e_a), edge_arrays(self.e_can))
+        for ends in out:
+            for a in ends:
+                a.flags.writeable = False
+        return out
 
     @property
     def d8_edges(self) -> frozenset[tuple[int, int]]:

@@ -498,11 +498,13 @@ class SubgraphBlock(NamedTuple):
 
 
 def canonical_subgraphs(
-    T: Triangulation, u: np.ndarray, v: np.ndarray
+    T: Triangulation, u: np.ndarray, v: np.ndarray, cones: np.ndarray | None = None
 ) -> Iterator[SubgraphBlock]:
     """``canonical_subgraph`` of (u[k], v[k]) and then of (v[k], u[k]) for
     each triangulation edge (u[k], v[k]), in blocks of ``_SCAN_BLOCK``
-    oriented edges, so that no array spans all of them.
+    oriented edges, so that no array spans all of them.  ``cones``, when
+    given, is ``cones_of(T, u, v)`` of the caller, which vouches that every
+    pair is an edge; the cone of v[k] holding u[k] is the opposite one.
 
     A member is kept when its bisector length, the float that
     ``bisector_in_cone`` computes, is at least the anchor's, or when it is
@@ -516,10 +518,15 @@ def canonical_subgraphs(
     for k in range(0, len(u), step):
         a, b = u[k : k + step], v[k : k + step]
         p, r = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
-        cone = cones_of(T, p, r)
-        if (cone < 0).any():
-            j = int(np.argmax(cone < 0))
-            raise ValueError(f"({p[j]},{r[j]}) is not a triangulation edge")
+        if cones is None:
+            cone = cones_of(T, p, r)
+            if (cone < 0).any():
+                j = int(np.argmax(cone < 0))
+                raise ValueError(f"({p[j]},{r[j]}) is not a triangulation edge")
+        else:
+            c = cones[k : k + step]
+            # negating a direction moves cone_indices to the opposite cone
+            cone = np.stack([c, (c + 3) % 6], axis=1).ravel()
         g = 6 * p + cone
         lo = start[g]
         size = start[g + 1] - lo

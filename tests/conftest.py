@@ -10,12 +10,12 @@ def random_points(seed: int, n: int, box: float = 1000.0) -> PointSet:
     return PointSet.from_pairs(rng.uniform(0.0, box, size=(n, 2)))
 
 
-def arc_fan(k, jagged=False, scale=1.0):
+def arc_fan(k, jagged=False, scale=1.0, seed=0):
     """Apex (0, 0) plus k points at angles in (62, 118) degrees drawn with
-    ``default_rng(0)``, all in cone 0 of the apex: on the arc of radius
+    ``default_rng(seed)``, all in cone 0 of the apex: on the arc of radius
     ``scale``, where every wedge angle passes, or at radii in (0.5, 1.5)
     times ``scale``."""
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     t = np.sort(np.radians(rng.uniform(62, 118, k)))
     r = scale * (rng.uniform(0.5, 1.5, k) if jagged else np.ones(k))
     pts = [(0.0, 0.0)] + list(zip(r * np.cos(t), r * np.sin(t)))

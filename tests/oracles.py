@@ -10,7 +10,10 @@ arrays: one predicate call per triangle, edge or vertex, on ``Point``
 objects.  ``reference_subgraph_lemmas`` is the subgraph-lemma audit as it ran
 before it moved to arrays: one scalar canonical subgraph per oriented E_A
 edge; ``reference_degree_audit`` and ``reference_subgraph_audit`` are the
-degree and subgraph audits as Python loops over the selection.
+degree and subgraph audits as Python loops over the selection, and
+``set_degree_audit`` the degree audit on a set difference of the selection's
+tuples.  ``shared_triangles`` is the shared-triangle audit as a scan of the
+triangles that classifies each corner's cones itself.
 """
 
 import itertools
@@ -27,6 +30,7 @@ from d8span.delaunay import (
     Triangulation,
     canonical_subgraph,
     cone_neighbourhood,
+    edge_arrays,
     edge_key,
     triangulation_from_triangles,
 )
@@ -37,6 +41,7 @@ from d8span.geometry import (
     bisector_in_cone,
     cone_index,
     cone_index_dir,
+    cone_indices,
     in_circle,
     orient,
 )
@@ -163,6 +168,46 @@ def wedge_angles(T) -> AuditVerdict:
                         {"apex": p, "cone": i, "triple": (a, x, b), "angle": ang},
                     )
     return AuditVerdict("wedge_angle", True)
+
+
+#: Triangles classified per block in ``shared_triangles``.
+_TRIANGLE_BLOCK = 1 << 13
+# The six half-edges of a sorted triple: corner k to each other corner.
+_CORNER = [0, 0, 1, 1, 2, 2]
+_OTHER = [1, 2, 0, 2, 0, 1]
+
+
+def shared_triangles(T) -> AuditVerdict:
+    """The shared-triangle audit as a scan of ``T.triangles`` in order: the
+    cones of each corner's two other corners from ``cone_indices``, a dict
+    of the shared triangles by base."""
+    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
+    base_counts: dict[tuple[int, int], list] = {}
+    for start in range(0, len(T.triangles), _TRIANGLE_BLOCK):
+        block = T.triangles[start : start + _TRIANGLE_BLOCK]
+        t = np.array(block, dtype=np.intp)
+        c, o = t[:, _CORNER].ravel(), t[:, _OTHER].ravel()
+        with np.errstate(over="ignore"):
+            cones = cone_indices(xs[o] - xs[c], ys[o] - ys[c]).reshape(-1, 3, 2)
+        # corner k is a member when its two other corners share a cone of it
+        member = cones[:, :, 0] == cones[:, :, 1]
+        for k in np.flatnonzero(member.any(axis=1)).tolist():
+            tri = block[k]
+            members = [tri[j] for j in range(3) if member[k, j]]
+            if len(members) == 3:
+                return AuditVerdict(
+                    "shared_triangle", False, {"triangle": tri, "reason": "three cones"}
+                )
+            if len(members) == 2:
+                base_counts.setdefault(edge_key(*members), []).append(tri)
+    for base, tris in base_counts.items():
+        if len(tris) > 1:
+            return AuditVerdict(
+                "shared_triangle",
+                False,
+                {"base": base, "triangles": tris, "reason": "base shared twice"},
+            )
+    return AuditVerdict("shared_triangle", True)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +458,22 @@ def reference_degree_audit(T, sel) -> dict:
         "histogram": dict(sorted(hist.items())),
         "max_degree": max(deg, default=0),
         "e_a_max_degree": max(deg_a, default=0),
+    }
+
+
+def set_degree_audit(T, sel) -> dict:
+    """``degree_audit`` on the sets: degrees by ``np.bincount`` over E_A and
+    over the set difference E_CAN - E_A, each converted to arrays."""
+    n = len(T.points)
+    deg_a = np.bincount(np.concatenate(edge_arrays(sel.e_a)), minlength=n)
+    rest = np.concatenate(edge_arrays(sel.e_can - sel.e_a))
+    deg = deg_a + np.bincount(rest, minlength=n)
+    hist = np.bincount(deg)
+    degrees = np.flatnonzero(hist)
+    return {
+        "histogram": dict(zip(degrees.tolist(), hist[degrees].tolist())),
+        "max_degree": int(deg.max(initial=0)),
+        "e_a_max_degree": int(deg_a.max(initial=0)),
     }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -17,6 +18,8 @@ from oracles import (
     reference_degree_audit,
     reference_subgraph_audit,
     reference_subgraph_lemmas,
+    set_degree_audit,
+    shared_triangles,
     wedge_angles,
 )
 from d8span import analysis, delaunay
@@ -97,6 +100,46 @@ def test_degree_audit_two_points():
 def test_degree_audit_triangle():
     T, sel = construct_d8(PointSet.from_pairs([(0, 0), (4, 1), (1, 5)]))
     assert degree_audit(T, sel)["max_degree"] <= 2
+
+
+def test_selection_is_frozen_and_converts_once(small_instance):
+    _, _, sel = small_instance
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sel.e_a = frozenset()
+    arrays = sel.edge_arrays
+    assert sel.edge_arrays is arrays
+    for edges, (u, v) in zip((sel.e_a, sel.e_can), arrays):
+        # the set's iteration order, Python ints
+        assert list(zip(u.tolist(), v.tolist())) == list(edges)
+        with pytest.raises(ValueError):
+            u[0] = 0
+
+
+def _selection_with_reversed_pairs():
+    """A DT edge in E_A and reversed in E_CAN, one in E_CAN and reversed in
+    E_A, a non-DT pair in both, and a non-empty E_A & E_CAN."""
+    T, sel = construct_d8(random_points(11, 60))
+    (a, b), (c, d) = sorted(T.edges - sel.e_a - sel.e_can)[:2]
+    far = next((0, v) for v in range(1, 60) if not T.is_edge(0, v))
+    shared = sorted(sel.e_can)[0]
+    e_a = sel.e_a | {(a, b), (d, c), far, shared}
+    e_can = sel.e_can | {(b, a), (c, d), far}
+    assert {far, shared} <= e_a & e_can
+    return T, EdgeSelection(e_a=e_a, e_can=e_can)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_selection_with_reversed_pairs, lambda: _AUDIT_CASES["hand-written"]()],
+    ids=["reversed-pairs", "hand-written"],
+)
+def test_degree_audit_equals_set_difference(make):
+    # keys as given: a reversed pair counts as its own tuple, as in the set
+    # difference of the tuples
+    T, sel = make()
+    got = degree_audit(T, sel)
+    assert repr(got) == repr(set_degree_audit(T, sel))
+    assert repr(got) == repr(reference_degree_audit(T, sel))
 
 
 def test_subgraph_audit_passes(small_instance):
@@ -564,6 +607,19 @@ def test_wedge_matches_cubic_reference(make):
     assert audit_wedge_angles(T) == wedge_angles(T)
 
 
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("k, seed", [(10, 0), (30, 0), (60, 0), (5, 8), (6, 28), (8, 20)])
+def test_wedge_blocks_match_cubic_reference(monkeypatch, k, seed, block):
+    # a later block can hold the first failing pair, one with a smaller a:
+    # in the fans of seeds 8, 28 and 20 the members (1, 2) fail, but the
+    # first failing pair is (0, k - 2)
+    T = arc_fan(k, jagged=True, seed=seed)
+    want = wedge_angles(T)
+    assert not want.passed
+    monkeypatch.setattr(analysis, "_WEDGE_BLOCK", block)
+    assert audit_wedge_angles(T) == want
+
+
 def test_wedge_audit_quadratic_per_cone():
     # 400 neighbours in one cone: the cubic scan took minutes here
     T = arc_fan(400)
@@ -571,6 +627,59 @@ def test_wedge_audit_quadratic_per_cone():
     v = audit_wedge_angles(T)
     assert v.passed
     assert time.perf_counter() - t0 < 10
+
+
+def test_wedge_audit_memory_is_blocked():
+    # 2000 neighbours in one cone: about 4M angle pairs, 32 MB for each
+    # array of them unblocked
+    T = arc_fan(2000)
+    tracemalloc.start()
+    try:
+        v = audit_wedge_angles(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.passed
+    assert peak < 8 << 20
+
+
+def near_limit_fan(delta: float):
+    """Apex (0, 0) and a, x, b clockwise in its cone 0, with the wedge angle
+    at x, angle(a, x, p) + angle(p, x, b), at 2*pi/3 - 1e-9 + delta up to
+    rounding."""
+    half = (2 * math.pi / 3 - 1e-9 + delta) / 2
+    r = 0.3
+    pts = [(0.0, 0.0), (-r * math.sin(half), 1 - r * math.cos(half)), (0.0, 1.0)]
+    pts.append((r * math.sin(half), 1 - r * math.cos(half)))
+    return triangulation_from_triangles(PointSet.from_pairs(pts), [(0, 1, 2), (0, 2, 3)])
+
+
+def test_wedge_near_limit_matches_cubic_reference(monkeypatch):
+    # sums within the array filter's margin of the limit, on both sides:
+    # the filter flags each, and the scalar rule decides
+    limit = 2 * math.pi / 3 - 1e-9
+    decided = []
+    scalar = analysis._wedge_at
+
+    def spy(*args):
+        decided.append(scalar(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(analysis, "_wedge_at", spy)
+    sides = set()
+    for delta in (-4e-13, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 4e-13):
+        T = near_limit_fan(delta)
+        assert T.cone(0, 0) == (1, 2, 3)
+        ps = T.points
+        total = analysis._angle(ps, 1, 2, 0) + analysis._angle(ps, 0, 2, 3)
+        assert abs(total - limit) < analysis._WEDGE_MARGIN
+        sides.add(total <= limit)
+        decided.clear()
+        v = audit_wedge_angles(T)
+        assert v == wedge_angles(T)
+        assert v.passed == (total > limit)
+        assert decided
+    assert sides == {True, False}
 
 
 def shared_triangle_violation_fixture():
@@ -581,6 +690,53 @@ def shared_triangle_violation_fixture():
     T = triangulation_from_triangles(ps, [(0, 1, 2), (0, 1, 3)])
     sel = EdgeSelection(e_a=frozenset(), e_can=frozenset())
     return T, sel
+
+
+def two_bases_fixture():
+    """Two copies of the shared-triangle fixture's fans, side by side: base
+    (4, 5) is met first in the triangle list, though (0, 1) sorts first."""
+    pts = [(0, 0), (0.1, 10), (-0.5, 5.2), (0.5, 4.9)]
+    pts += [(x + 3, y + 1) for x, y in pts]
+    T = triangulation_from_triangles(
+        PointSet.from_pairs(pts), [(4, 5, 6), (0, 1, 2), (0, 1, 3), (4, 5, 7)]
+    )
+    return T, EdgeSelection(e_a=frozenset(), e_can=frozenset())
+
+
+_SHARED_CASES = {
+    "negative-control": shared_triangle_violation_fixture,
+    "two-bases": two_bases_fixture,
+    "none": lambda: construct_d8(PointSet.from_pairs([])),
+    "one-point": lambda: construct_d8(PointSet.from_pairs([(1, 2)])),
+    "two-points": lambda: construct_d8(PointSet.from_pairs([(0, 0), (1, 2)])),
+    **{
+        f"{dist}-{seed}": (
+            lambda dist=dist, seed=seed: (
+                build_dt(generate(RunConfig(n=300, seed=seed, distribution=dist))),
+                None,
+            )
+        )
+        for dist in ("uniform-square", "annulus")
+        for seed in (1, 2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_SHARED_CASES))
+def test_shared_triangles_match_scan(name):
+    # same verdict and counterexample, Python ints and list order included
+    T, _ = _SHARED_CASES[name]()
+    assert repr(audit_shared_triangles(T)) == repr(shared_triangles(T))
+
+
+def test_shared_triangles_report_the_base_met_first():
+    T, _ = two_bases_fixture()
+    v = audit_shared_triangles(T)
+    assert v.counterexample == {
+        "base": (4, 5),
+        "triangles": [(4, 5, 6), (4, 5, 7)],
+        "reason": "base shared twice",
+    }
 
 
 def test_shared_triangle_negative_control():
