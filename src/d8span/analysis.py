@@ -9,7 +9,6 @@ the degree proof rests on.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,14 +56,13 @@ BOUND_RTOL = 1e-9
 # Shortest paths
 
 
-def _graph(ps: PointSet, u: np.ndarray, v: np.ndarray) -> csr_matrix:
-    """Symmetric sparse n x n adjacency over the edges (u[k], v[k]) with
-    Euclidean weights: each pair once whichever way round or however often
-    it is given, and no loops."""
-    n = len(ps)
+def _graph(xs: np.ndarray, ys: np.ndarray, u: np.ndarray, v: np.ndarray) -> csr_matrix:
+    """Symmetric sparse n x n adjacency over the edges (u[k], v[k]) of the
+    points (xs, ys) with Euclidean weights: each pair once whichever way
+    round or however often it is given, and no loops."""
+    n = len(xs)
     lo, hi = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
     lo, hi = lo[lo < hi], hi[lo < hi]
-    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
     with np.errstate(over="ignore"):
         dx, dy = xs[hi] - xs[lo], ys[hi] - ys[lo]
     # math.hypot, as euclid computes it
@@ -79,7 +77,8 @@ def distance_matrix(ps: PointSet, edges) -> np.ndarray:
     weights."""
     if len(ps) == 0:
         return np.zeros((0, 0))
-    return _csgraph_dijkstra(_graph(ps, *edge_arrays(edges)), directed=True)
+    g = _graph(np.asarray(ps.xs), np.asarray(ps.ys), *edge_arrays(edges))
+    return _csgraph_dijkstra(g, directed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +175,20 @@ def _canonical_bound(px: float, py: float, qx: float, qy: float, i: int) -> floa
 #: holds about this many (source, target) entries, so memory is O(n).
 _BLOCK_CELLS = 1 << 17
 
-#: ``stretch_vs_dt`` runs its blocks in worker processes above this many
-#: points; below it, starting the workers costs more than they save.
-_FORK_POINTS = 1000
+#: Relative margin of ``stretch_vs_dt``'s landmark certificate.
+_MARGIN = 1e-9
+
+#: Added to each scaled landmark distance, so that a certified pair's two
+#: sides are normal floats, each within a relative 2**-53 of its exact value.
+_FLOOR = 2.0**-1001
+
+#: The edge pass's Dijkstra from u reaches this many times u's longest DT
+#: edge, above STRETCH_BOUND, so that it settles every DT edge of a valid
+#: spanner.
+_EDGE_REACH = 2.3
 
 
-def _max_ratio(num: np.ndarray, den: np.ndarray, where: np.ndarray) -> float:
+def _max_ratio(num: np.ndarray, den: np.ndarray, where) -> float:
     """Largest num/den over the cells selected by ``where`` (-inf if none);
     a zero denominator makes the result NaN."""
     with np.errstate(invalid="ignore"):
@@ -189,81 +196,151 @@ def _max_ratio(num: np.ndarray, den: np.ndarray, where: np.ndarray) -> float:
     return float(np.max(ratio, where=where, initial=-np.inf))
 
 
-def _stretch_block(g8, xs, ys, dt_u, dt_v, rows, start):
-    """Dijkstra from the sources start, ..., start + rows - 1 on the spanner
-    g8.  Returns the first DT edge whose low end is a source (in key order,
-    the arrays dt_u and dt_v), the spanner distances of those edges, and the
-    largest ratio of spanner to Euclidean distance over the pairs (u, v),
-    u < v, with u a source: each pair read from the row of its lower id."""
+def _euclid(xs, ys, s, t) -> np.ndarray:
+    """The all-pairs Euclidean distances from the points s to the points t,
+    rows by columns (t an index array or a slice): ``np.sqrt(dx**2 +
+    dy**2)`` of dx = xs[s] - xs[t], the same floats for every caller."""
+    dx = xs[s, None] - xs[None, t]
+    dy = ys[s, None] - ys[None, t]
+    # in place: dx * dx is dx**2, bit for bit
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def _every_row(g8, xs, ys, dt_u, dt_v) -> tuple[np.ndarray, float]:
+    """One full Dijkstra row per source on the spanner g8: the spanner
+    distance of each DT edge (dt_u[k], dt_v[k]), and the largest ratio of
+    spanner to Euclidean distance over all pairs; each pair read from the
+    row of its lower id."""
     n = len(xs)
-    block = np.arange(start, min(start + rows, n))
-    d8 = _csgraph_dijkstra(g8, directed=True, indices=block)
-    later = slice(start + 1, n)
-    dx = xs[block, None] - xs[None, later]
-    dy = ys[block, None] - ys[None, later]
-    ed = np.sqrt(dx**2 + dy**2)
-    upper = np.arange(start + 1, n)[None, :] > block[:, None]
-    lo, hi = np.searchsorted(dt_u, (block[0], block[-1] + 1))
-    paths = d8[dt_u[lo:hi] - start, dt_v[lo:hi]]
-    return int(lo), paths, _max_ratio(d8[:, later], ed, upper)
+    d8 = _csgraph_dijkstra(g8, directed=True)
+    upper = np.arange(1, n)[None, :] > np.arange(n)[:, None]
+    ed = _euclid(xs, ys, np.arange(n), slice(1, n))
+    return d8[dt_u, dt_v], _max_ratio(d8[:, 1:], ed, upper)
 
 
-#: ``_stretch_block``'s arguments but the start, in a worker process.
-_worker_args: tuple = ()
+def _settled(g8, sources, limit, row, col) -> np.ndarray:
+    """Dijkstra rows from the sources on g8, bounded at ``limit``; a source
+    that leaves one of its needed targets, (row[k], col[k]), unsettled gets
+    its full row."""
+    d = _csgraph_dijkstra(g8, directed=True, indices=sources, limit=limit)
+    late = np.unique(row[np.isinf(d[row, col])])
+    if len(late):
+        d[late] = _csgraph_dijkstra(g8, directed=True, indices=sources[late])
+    return d
 
 
-def _init_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
+def _edge_paths(g8, xs, ys, dt_u, dt_v, rows) -> np.ndarray:
+    """The spanner distance of each DT edge (dt_u[k], dt_v[k]), from the row
+    of its low end: Dijkstra from blocks of ``rows`` low ends, taken in
+    order of their longest edge and bounded at ``_EDGE_REACH`` times the
+    block's longest."""
+    n = len(xs)
+    bounds = np.searchsorted(dt_u, np.arange(n + 1))
+    ends = np.flatnonzero(np.diff(bounds))
+    with np.errstate(over="ignore"):
+        length = np.hypot(xs[dt_v] - xs[dt_u], ys[dt_v] - ys[dt_u])
+        reach = np.maximum.reduceat(length, bounds[ends]) * _EDGE_REACH
+    order = np.argsort(reach, kind="stable")
+    ends, reach = ends[order], reach[order]
+    path = np.empty(len(dt_u))
+    for k in range(0, len(ends), rows):
+        block = ends[k : k + rows]
+        row, e = _ragged(bounds[block], bounds[block + 1] - bounds[block])
+        d = _settled(g8, block, reach[k : k + rows][-1], row, dt_v[e])
+        path[e] = d[row, dt_v[e]]
+    return path
 
 
-def _worker_block(start: int):
-    return _stretch_block(*_worker_args, start)
+def _cells(xs, ys) -> list[np.ndarray]:
+    """The points in about 4 sqrt(n) cells of equal count, by density: equal
+    shares of the points by x, each cut into equal shares by y; each cell's
+    ids ascending, and no cell empty.  Each cell costs one full Dijkstra
+    row, and the bounded ones reach further as cells grow: the two balance
+    at cells of a size proportional to sqrt(n)."""
+    side = max(1, round(2 * len(xs) ** 0.25))
+    cells = []
+    for strip in np.array_split(np.argsort(xs, kind="stable"), side):
+        by_y = strip[np.argsort(ys[strip], kind="stable")]
+        cells += [np.sort(c) for c in np.array_split(by_y, side) if len(c)]
+    return cells
 
 
-def _stretch_blocks(args: tuple, starts: range, fork: bool) -> list:
-    """``_stretch_block`` of each start: if ``fork``, in forked worker
-    processes, one per usable CPU, where there are two CPUs and two blocks,
-    the fork start method exists and this process may have children (a
-    daemonic worker may not); here otherwise.  The workers read ``args`` as
-    the fork left them, and are gone when this returns or raises."""
-    cpus = (
-        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    )
-    workers = min(cpus or 1, len(starts))
-    if fork and workers > 1:
-        import multiprocessing
+def _sweep(g8, xs, ys, rows, worst: float) -> float:
+    """The largest ratio of spanner to Euclidean distance over all pairs (s,
+    t), s < t, read from the row of s, given a lower bound ``worst`` that is
+    one pair's ratio: certify or compute, a cell of sources at a time.
 
-        if (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-        ):
-            ctx = multiprocessing.get_context("fork")
-            pool = ctx.Pool(workers, initializer=_init_worker, initargs=args)
-            try:
-                out = list(pool.imap_unordered(_worker_block, starts))
-            except BaseException:
-                pool.terminate()
-                raise
-            else:
-                pool.close()
-            finally:
-                pool.join()
-            return out
-    return [_stretch_block(*args, start) for start in starts]
+    Each cell's landmark a is its point nearest the cell's centroid, with
+    one full Dijkstra row r.  A pair of which s is in the cell is certified
+    when q[s] + q[t] < |st|, with q = r / (worst (1 - _MARGIN) / (1 +
+    _MARGIN)) + _FLOOR, for then its ratio cannot exceed ``worst``.  The
+    other pairs get one Dijkstra per block of ``rows`` sources, bounded at
+    worst (1 + _MARGIN) times their longest |st|, and raise ``worst``."""
+    n = len(xs)
+    for cell in _cells(xs, ys):
+        cx, cy = xs[cell].mean(), ys[cell].mean()
+        a = cell[np.argmin((xs[cell] - cx) ** 2 + (ys[cell] - cy) ** 2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = worst * (1 - _MARGIN) / (1 + _MARGIN)
+            q = _csgraph_dijkstra(g8, directed=True, indices=a) / scale + _FLOOR
+        for k in range(0, len(cell), rows):
+            s = cell[k : k + rows]
+            first = s[0] + 1
+            ed = _euclid(xs, ys, s, slice(first, n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                sure = np.add.outer(q[s], q[first:]) < ed
+            # only the pairs s < t are this block's
+            for i, m in enumerate((s - s[0]).tolist()):
+                sure[i, :m] = True
+            row, col = np.nonzero(~sure)
+            if not len(row):
+                continue
+            ed = ed[row, col]
+            need, row = np.unique(row, return_inverse=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                limit = worst * ed.max() * (1 + _MARGIN)
+            d = _settled(g8, s[need], limit, row, col + first)
+            worst = float(np.maximum(worst, _max_ratio(d[row, col + first], ed, True)))
+            if worst != worst:
+                return worst  # a NaN ratio: the maximum is NaN
+    return worst
 
 
 def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     """Spanner distances against DT and Euclidean distances: per DT edge and
     the maxima over all vertex pairs.
 
-    One Dijkstra per source, on the spanner only, in blocks of source rows so
-    that no n x n array is ever held; above ``_FORK_POINTS`` points the
-    blocks run in worker processes.  Every float is the same whichever
-    process or block computes it: Dijkstra's distance from s to v is the
-    least float path length, summed edge by edge from s, over all paths, and
-    that depends on neither the other sources of its call nor the order in
-    which it scans the edges.
+    Dijkstra on the spanner only, in this process, with no n x n array ever
+    held.  When one block of ``_BLOCK_CELLS`` holds every source, one
+    Dijkstra per source gives every pair.  Otherwise certify or compute:
+
+    - the edge pass gives each DT edge's path length, from Dijkstra rows
+      bounded near the edges (``_edge_paths``), and so the largest DT-edge
+      ratio to the Euclidean distance, one pair's ratio, as the starting
+      maximum M;
+    - the sweep (``_sweep``) certifies each other pair whose landmark bound
+      lies below M times its Euclidean distance, and computes the rest,
+      raising M.
+
+    Every float is the one a full Dijkstra row from the pair's lower id
+    gives.  Dijkstra's distance from s to v is the least float path length,
+    summed edge by edge from s, over all walks; it depends neither on the
+    other sources of the call nor on the order in which the edges are
+    scanned.  A bounded Dijkstra settles every vertex whose distance is at
+    most its limit, since every vertex on that vertex's least walk is
+    nearer, and leaves the others unsettled; an unsettled target gets a full
+    row.  The certificate is sound: the walk from s through the landmark a
+    to t has at most 2n - 2 edges, so its float sum from s, which bounds
+    d(s, t), exceeds r[s] + r[t], the float sums of a's row, by a factor of
+    at most about 1 + 3n 2**-53 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 4.2).  With the certificate's own six
+    roundings that stays below the margin's (1 + 1e-9) / (1 - 1e-9) up to n
+    of about 6 10**6.  M only grows, so a pair certified under an earlier M
+    stays below the final one, which is therefore the largest computed
+    ratio, bit for bit.
 
     ``all_pairs_max_ratio_vs_dt`` is ``max_edge_ratio``, so no Dijkstra runs
     on the triangulation. A DT shortest path between two vertices is a chain
@@ -279,21 +356,21 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     n = len(ps)
     if n < 2:
         return StretchReport({}, 1.0, 1.0, 1.0, connected=True)
+    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
     (u, v), (cu, cv) = sel.edge_arrays
-    g8 = _graph(ps, np.concatenate([u, cu]), np.concatenate([v, cv]))
+    g8 = _graph(xs, ys, np.concatenate([u, cu]), np.concatenate([v, cv]))
     if connected_components(g8, directed=False, return_labels=False) > 1:
         return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
-    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
     # u is non-decreasing in key order, so the edges at a low end are a slice
     dt_u, dt_v = np.divmod(T._keys, n)
     rows = max(1, _BLOCK_CELLS // n)
-    args = (g8, xs, ys, dt_u, dt_v, rows)
-    path = np.empty(len(dt_u))
-    vs_euclid = -math.inf
-    for lo, paths, ratio in _stretch_blocks(args, range(0, n, rows), n > _FORK_POINTS):
-        path[lo : lo + len(paths)] = paths
-        # np.maximum, not max(), so that a NaN block result is kept
-        vs_euclid = float(np.maximum(vs_euclid, ratio))
+    if rows >= n:
+        path, vs_euclid = _every_row(g8, xs, ys, dt_u, dt_v)
+    else:
+        path = _edge_paths(g8, xs, ys, dt_u, dt_v, rows)
+        with np.errstate(over="ignore"):
+            ed = np.sqrt((xs[dt_u] - xs[dt_v]) ** 2 + (ys[dt_u] - ys[dt_v]) ** 2)
+        vs_euclid = _sweep(g8, xs, ys, rows, _max_ratio(path, ed, True))
     ends = xs[dt_u], ys[dt_u], xs[dt_v], ys[dt_v]
     with np.errstate(over="ignore"):
         cones = cone_indices(ends[2] - ends[0], ends[3] - ends[1])

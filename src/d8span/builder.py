@@ -234,6 +234,14 @@ def _step_4c(T, p: int, r: int, y: int, z: int, cone: int) -> tuple[int, int]:
     return candidates[0]
 
 
+def _accepted(L: SortedEdges, occupant: array) -> tuple[np.ndarray, ...]:
+    """The rows (u, v, cone) of L that ``add_incident`` accepted, in the
+    order it took them: each is the one edge that set the slot of its low
+    end and its cone."""
+    taken = np.frombuffer(occupant, dtype=np.intc)[6 * L.u + L.cone] == L.v
+    return L.u[taken], L.v[taken], L.cone[taken]
+
+
 def select_edges(T: Triangulation) -> EdgeSelection:
     """Sorted edge list, greedy incident selection, then canonical
     completion from both endpoints of every selected edge in sorted order.
@@ -241,9 +249,12 @@ def select_edges(T: Triangulation) -> EdgeSelection:
     The canonical subgraphs come as arrays from ``canonical_subgraphs``, and
     the completion decides on them, a block at a time; only step 4c and a
     failure read a cone again."""
-    e_a, occupant = add_incident(T, sort_edges(T))
+    L = sort_edges(T)
+    e_a, occupant = add_incident(T, L)
+    blocks = canonical_subgraphs(T, *_accepted(L, occupant))
+    del L  # free the sorted list before the completion
     provenance: dict[tuple[int, int], list[Provenance]] = {}
-    for b in canonical_subgraphs(T, *edge_arrays(e_a)):
+    for b in blocks:
         pick = np.ones(len(b.p), dtype=bool)
         for edge, prov in _completion(T, occupant, b, pick):
             provenance.setdefault(edge, []).append(prov)

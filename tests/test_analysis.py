@@ -250,31 +250,6 @@ def _point_canonical_bound(ps, p, q):
     return max(pa + PATH_FACTOR * aq, pb + PATH_FACTOR * bq)
 
 
-def _fork_at_every_size(monkeypatch) -> list:
-    """Make ``stretch_vs_dt`` run its blocks in worker processes at every
-    size; returns the list of the start methods it asks for."""
-    monkeypatch.setattr(analysis, "_FORK_POINTS", 0)
-    asked = []
-    get_context = multiprocessing.get_context
-
-    def spy(method=None):
-        asked.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
-    return asked
-
-
-def _pool_expected(n, cells):
-    """Whether the forked path can start a pool: two blocks and two CPUs."""
-    blocks = -(-n // max(1, cells // n))
-    return (
-        blocks > 1
-        and len(os.sched_getaffinity(0)) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-
-
 def _check_streamed(monkeypatch, dist, n, seed, cells, degrade):
     ps = generate(RunConfig(n=n, seed=seed, distribution=dist))
     T, sel = construct_d8(ps)
@@ -282,7 +257,6 @@ def _check_streamed(monkeypatch, dist, n, seed, cells, degrade):
         sel = _degraded(T, sel)
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
     s = stretch_vs_dt(T, sel)
-    assert not multiprocessing.active_children()
     d8, vs_dt, vs_euclid = _dense_stretch(ps, T, sel)
     assert s.connected
     assert s.all_pairs_max_ratio_vs_dt == vs_dt
@@ -298,27 +272,102 @@ def _check_streamed(monkeypatch, dist, n, seed, cells, degrade):
 
 @pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
 def test_streamed_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
-    monkeypatch.setattr(analysis, "_FORK_POINTS", math.inf)
     _check_streamed(monkeypatch, dist, n, seed, cells, degrade)
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Record each run of the landmark sweep."""
+    sweeps, sweep = [], analysis._sweep
+
+    def spy(*args):
+        sweeps.append(args[-1])
+        return sweep(*args)
+
+    monkeypatch.setattr(analysis, "_sweep", spy)
+    return sweeps
 
 
 @pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
-def test_forked_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
-    asked = _fork_at_every_size(monkeypatch)
-    _check_streamed(monkeypatch, dist, n, seed, cells, degrade)
-    assert asked == (["fork"] if _pool_expected(n, cells) else [])
+def test_landmark_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
+    # the same cases with blocks of at most n - 1 rows, so that the edge pass
+    # and the landmark sweep run at every size
+    sweeps = _count_sweeps(monkeypatch)
+    _check_streamed(monkeypatch, dist, n, seed, min(cells, n * (n - 1)), degrade)
+    assert len(sweeps) == 1
 
 
-@pytest.mark.parametrize("fork", [False, True], ids=["serial", "forked"])
-def test_stretch_hand_written_selection_equals_dense(monkeypatch, fork):
+@pytest.mark.parametrize(
+    "dist, n, seed", [("gaussian", 60, 3), ("uniform-square", 200, 1)]
+)
+def test_landmark_sweep_raises_the_maximum(monkeypatch, dist, n, seed):
+    # the worst pair is not a DT edge: the sweep computes it and raises the
+    # edge pass's maximum to the dense one
+    ps = generate(RunConfig(n=n, seed=seed, distribution=dist))
+    T, sel = construct_d8(ps)
+    sweeps = _count_sweeps(monkeypatch)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 7 * n)
+    s = stretch_vs_dt(T, sel)
+    _, _, vs_euclid = _dense_stretch(ps, T, sel)
+    (start,) = sweeps
+    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    u, v = np.divmod(T._keys, n)
+    paths = np.array([s.per_dt_edge[e].path_length for e in T._by_key])
+    ed = np.sqrt((xs[u] - xs[v]) ** 2 + (ys[u] - ys[v]) ** 2)
+    assert start == float(np.max(paths / ed))
+    assert s.all_pairs_max_ratio_vs_euclid == vs_euclid > start
+
+
+def test_edge_pass_falls_back_to_full_rows(monkeypatch):
+    # a hand-written selection, one path through the points by x: a DT edge
+    # whose spanner path leaves the edge pass's bound gets a full row
+    T, sel = construct_d8(random_points(5, 60))
+    order = sorted(range(60), key=lambda i: T.points.xs[i])
+    chain = frozenset(edge_key(a, b) for a, b in zip(order, order[1:]))
+    path = EdgeSelection(e_a=chain, e_can=frozenset())
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 7 * 60)
+    s = stretch_vs_dt(T, path)
+    d8, vs_dt, vs_euclid = _dense_stretch(T.points, T, path)
+    # beyond every block's bound, which is at most the longest DT edge's
+    longest = max(euclid(T.points[u], T.points[v]) for u, v in T.edges)
+    assert max(d8[u, v] for u, v in T.edges) > analysis._EDGE_REACH * longest
+    assert s.connected and not s.ok
+    assert (s.all_pairs_max_ratio_vs_dt, s.all_pairs_max_ratio_vs_euclid) == (
+        vs_dt, vs_euclid
+    )
+    assert {e: x.path_length for e, x in s.per_dt_edge.items()} == {
+        (u, v): float(d8[u, v]) for u, v in T.edges
+    }
+
+
+def test_landmark_bound_inside_the_margin_is_computed(monkeypatch):
+    # a path through eight points in one cell, landmark 7: the worst pair
+    # (3, 5) has the float landmark bound r[3] + r[5] below its own float
+    # distance.  Started an ulp below the maximum, the bound passes the
+    # certificate without its margin, so only the margin makes the sweep
+    # compute the pair and return the maximum
+    xs = np.array([4.49, 3.09, 9.92, 0.88, 5.28, 2.23, 6.95, 4.71])
+    ys = np.array([8.53, 7.16, 7.61, 3.15, 1.56, 3.86, 0.37, 2.43])
+    chain = np.array([3, 1, 2, 0, 7, 4, 5, 6])
+    g = analysis._graph(xs, ys, chain[:-1], chain[1:])
+    monkeypatch.setattr(analysis, "_cells", lambda xs, ys: [np.arange(8)])
+    assert np.argmin((xs - xs.mean()) ** 2 + (ys - ys.mean()) ** 2) == 7
+    d = dijkstra(g, directed=True)
+    ed = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
+    iu = np.triu_indices(8, 1)
+    worst = float(np.max(d[iu] / ed[iu]))
+    start = float(np.nextafter(worst, 0))
+    assert worst == d[3, 5] / ed[3, 5]
+    assert d[7, 3] / start + d[7, 5] / start < ed[3, 5]
+    assert analysis._sweep(g, xs, ys, 8, start) == worst
+
+
+@pytest.mark.parametrize("cells", [1 << 20, 7 * 60], ids=["one-block", "landmark"])
+def test_stretch_hand_written_selection_equals_dense(monkeypatch, cells):
     # a non-DT pair, an edge given both ways round, and a loop: each pair
     # weighs its length once
     T, sel = _hand_written()
-    if fork:
-        _fork_at_every_size(monkeypatch)
-    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 7 * len(T.points))
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
     s = stretch_vs_dt(T, sel)
-    assert not multiprocessing.active_children()
     d8, vs_dt, vs_euclid = _dense_stretch(T.points, T, sel)
     assert s.connected
     assert (s.all_pairs_max_ratio_vs_dt, s.all_pairs_max_ratio_vs_euclid) == (
@@ -339,42 +388,11 @@ def _check_isolated_last_vertex(monkeypatch, small_instance, cells):
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
     s = stretch_vs_dt(T, cut)
     assert not s.connected and not s.ok
-    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 20], ids=["row", "one"])
 def test_stretch_isolated_last_vertex_disconnected(monkeypatch, small_instance, cells):
     _check_isolated_last_vertex(monkeypatch, small_instance, cells)
-
-
-@pytest.mark.parametrize("cells", [1, 1 << 20], ids=["row", "one"])
-def test_forked_stretch_isolated_last_vertex_disconnected(
-    monkeypatch, small_instance, cells
-):
-    # connectivity is decided before any worker starts
-    asked = _fork_at_every_size(monkeypatch)
-    _check_isolated_last_vertex(monkeypatch, small_instance, cells)
-    assert asked == []
-
-
-@pytest.mark.skipif(
-    not _pool_expected(201, 201), reason="needs two CPUs and the fork start method"
-)
-def test_stretch_worker_error_propagates(monkeypatch):
-    # a worker that raises: the error reaches the caller, and no worker is
-    # left behind
-    T, sel = construct_d8(generate(RunConfig(n=201, seed=8, distribution="annulus")))
-    monkeypatch.setattr(analysis, "_FORK_POINTS", 0)
-    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 201)
-
-    def boom(*args, **kwargs):
-        raise ValueError(f"boom in {os.getpid()}")
-
-    monkeypatch.setattr(analysis, "_csgraph_dijkstra", boom)
-    with pytest.raises(ValueError, match="boom in") as err:
-        stretch_vs_dt(T, sel)
-    assert str(os.getpid()) not in str(err.value)
-    assert not multiprocessing.active_children()
 
 
 def _stretch_figures(dist, n, seed):
@@ -387,9 +405,8 @@ def _stretch_figures(dist, n, seed):
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
 )
 def test_stretch_in_a_daemonic_worker(monkeypatch):
-    # a pool's worker may not start workers of its own: it runs the blocks
-    # itself, with the same figures
-    monkeypatch.setattr(analysis, "_FORK_POINTS", 0)
+    # the audit starts no process of its own, so it runs as well inside a
+    # pool's worker, which may have no children, with the same figures
     monkeypatch.setattr(analysis, "_BLOCK_CELLS", 201)
     pool = multiprocessing.get_context("fork").Pool(1)
     try:
@@ -402,8 +419,8 @@ def test_stretch_in_a_daemonic_worker(monkeypatch):
 
 
 def test_import_leaves_multiprocessing_out():
-    # the workers' module is imported only when a stretch audit forks, so
-    # that importing the package stays as fast as it was
+    # importing the package loads no process machinery, so that it stays as
+    # fast as it was
     code = "import sys, d8span; print('multiprocessing' in sys.modules)"
     src = os.path.dirname(os.path.dirname(analysis.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -417,8 +434,6 @@ def test_import_leaves_multiprocessing_out():
 def test_stretch_memory_below_one_dense_matrix(monkeypatch):
     n = 2000
     T, sel = construct_d8(generate(RunConfig(n=n, seed=3, distribution="annulus")))
-    # in this process, so that tracemalloc sees the blocks
-    monkeypatch.setattr(analysis, "_FORK_POINTS", n)
     tracemalloc.start()
     try:
         s = stretch_vs_dt(T, sel)
