@@ -288,9 +288,10 @@ def _count_sweeps(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
-def test_landmark_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
+def test_forked_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
     # the same cases with blocks of at most n - 1 rows, so that the edge pass
-    # and the landmark sweep run at every size
+    # and the landmark sweep run at every size.  The name is that of the
+    # forked worker path, which the sweep replaced on the same cases
     sweeps = _count_sweeps(monkeypatch)
     _check_streamed(monkeypatch, dist, n, seed, min(cells, n * (n - 1)), degrade)
     assert len(sweeps) == 1
