@@ -33,7 +33,6 @@ from .geometry import (
     bisector_distance,
     canonical_corners,
     cone_index,
-    cone_indices,
     euclid,
 )
 
@@ -77,7 +76,7 @@ def distance_matrix(ps: PointSet, edges) -> np.ndarray:
     weights."""
     if len(ps) == 0:
         return np.zeros((0, 0))
-    g = _graph(np.asarray(ps.xs), np.asarray(ps.ys), *edge_arrays(edges))
+    g = _graph(ps.xs, ps.ys, *edge_arrays(edges))
     return _csgraph_dijkstra(g, directed=True)
 
 
@@ -158,8 +157,8 @@ class StretchReport:
 def canonical_bound(ps: PointSet, p: int, q: int) -> float:
     """max{|pa| + (theta/sin theta)|aq|, |pb| + (theta/sin theta)|bq|} over
     the corners a, b of the canonical triangle of (p, q)."""
-    xs, ys = ps.xs, ps.ys
-    return _canonical_bound(xs[p], ys[p], xs[q], ys[q], cone_index(ps[p], ps[q]))
+    a, b = ps[p], ps[q]
+    return _canonical_bound(a.x, a.y, b.x, b.y, cone_index(a, b))
 
 
 def _canonical_bound(px: float, py: float, qx: float, qy: float, i: int) -> float:
@@ -356,7 +355,7 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     n = len(ps)
     if n < 2:
         return StretchReport({}, 1.0, 1.0, 1.0, connected=True)
-    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    xs, ys = ps.xs, ps.ys
     (u, v), (cu, cv) = sel.edge_arrays
     g8 = _graph(xs, ys, np.concatenate([u, cu]), np.concatenate([v, cv]))
     if connected_components(g8, directed=False, return_labels=False) > 1:
@@ -372,12 +371,10 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
             ed = np.sqrt((xs[dt_u] - xs[dt_v]) ** 2 + (ys[dt_u] - ys[dt_v]) ** 2)
         vs_euclid = _sweep(g8, xs, ys, rows, _max_ratio(path, ed, True))
     ends = xs[dt_u], ys[dt_u], xs[dt_v], ys[dt_v]
-    with np.errstate(over="ignore"):
-        cones = cone_indices(ends[2] - ends[0], ends[3] - ends[1])
     per_edge = {}
     max_edge_ratio = 1.0
     for e, i, length, px, py, qx, qy in zip(
-        T._by_key, cones.tolist(), path.tolist(), *(c.tolist() for c in ends)
+        T._by_key, T._cone.tolist(), path.tolist(), *(c.tolist() for c in ends)
     ):
         d = math.hypot(qx - px, qy - py)
         per_edge[e] = EdgeStretch(
@@ -710,7 +707,7 @@ def audit_wedge_angles(T, sel=None) -> AuditVerdict:
     flagged pairs in (cone, a, x) order, so the verdict and the reported
     angle are those of ``_angle``."""
     limit = 2 * math.pi / 3 - 1e-9
-    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
+    xs, ys = T.points.xs, T.points.ys
     nbr = np.frombuffer(T._nbr, dtype=np.intc)
     start = np.frombuffer(T._start, dtype=np.intc).astype(np.intp)
     g = np.flatnonzero(np.diff(start) > 2)

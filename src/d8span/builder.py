@@ -36,15 +36,11 @@ class SortedEdges(NamedTuple):
 
 
 def sort_edges(T: Triangulation) -> SortedEdges:
-    """Every edge with its cone, read from the cone table, and its bisector
+    """Every edge with its cone, from the triangulation, and its bisector
     length ``bisector_in_cone`` computes, as arrays in sorted order."""
-    nbr = np.frombuffer(T._nbr, dtype=np.intc)
-    group = np.repeat(np.arange(6 * len(T.points)), T.cone_sizes())
-    src = group // 6
-    forward = src < nbr
-    u, v, cone = src[forward], nbr[forward], group[forward] % 6
-    del nbr, group, src, forward
-    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
+    u, v = np.divmod(T._keys, len(T.points))
+    cone = T._cone
+    xs, ys = T.points.xs, T.points.ys
     ux, uy = np.array(CONE_BISECTORS)[cone].T
     with np.errstate(over="ignore"):
         dx, dy = xs[v] - xs[u], ys[v] - ys[u]

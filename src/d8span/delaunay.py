@@ -9,7 +9,6 @@ rather than propagated.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from array import array
 from collections.abc import Iterator
@@ -62,10 +61,11 @@ class Triangulation:
     _nbr: array = field(init=False, repr=False, compare=False)
     _start: array = field(init=False, repr=False, compare=False)
     _canon: bytes = field(init=False, repr=False, compare=False)
-    # ``edges``' own tuples (u, v) in key order, and their sorted keys
-    # u * n + v
+    # ``edges``' own tuples (u, v) in key order, their sorted keys u * n + v
+    # and the cone of u holding v, as int8
     _by_key: list = field(init=False, repr=False, compare=False)
     _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _cone: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tri, ordered):
         if tri is None:
@@ -76,7 +76,8 @@ class Triangulation:
         keys = u * len(self.points) + v
         object.__setattr__(self, "_by_key", ordered)
         object.__setattr__(self, "_keys", keys)
-        nbr, start = _cone_table(self.points, keys)
+        nbr, start, cone = _cone_table(self.points, keys)
+        object.__setattr__(self, "_cone", cone)
         canon = _canonical_mask(tri, nbr, start)
         object.__setattr__(self, "_canon", canon.tobytes())
         object.__setattr__(self, "_nbr", array("i", nbr.astype(np.intc).tobytes()))
@@ -89,13 +90,10 @@ class Triangulation:
 
     def cone_of(self, p: int, q: int) -> int:
         """The cone of p holding its neighbour q."""
-        start = self._start
-        k = self._nbr.index(q, start[6 * p], start[6 * p + 6])
-        return bisect.bisect_right(start, k, 6 * p, 6 * p + 6) - 1 - 6 * p
-
-    def cone_sizes(self) -> np.ndarray:
-        """Number of neighbours in each cone, at index 6p + i."""
-        return np.diff(np.frombuffer(self._start, dtype=np.intc))
+        (i,) = cones_of(self, np.array([p]), np.array([q])).tolist()
+        if i < 0:
+            raise ValueError(f"{q} is not a neighbour of {p}")
+        return i
 
     def is_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edges
@@ -116,32 +114,38 @@ def _edge_keys(tri: np.ndarray, n: int) -> np.ndarray:
 _CLASSIFY_BLOCK = 1 << 14
 
 
-def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classify each oriented edge's cone once and group the far ends by
-    (vertex, cone), clockwise within a group.
+def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Classify each edge (u, v) of key u * n + v once, and group the far
+    ends of the oriented edges by (vertex, cone), clockwise within a group;
+    returns the groups, their starts and the cone of u holding v per key.
 
     A float key, the tangent of the clockwise angle from the cone's
     bisector, orders the groups; exact ``orient`` then checks each
     consecutive pair.  A cone spans 60 degrees, so orientation orders a
-    group totally, and a group is re-sorted by it only when a pair fails."""
+    group totally, and a group is re-sorted by it only when a pair fails.
+
+    The reverse half-edge (v, u) takes the opposite cone and the same key,
+    as classifying it would: its differences and the opposite bisector are
+    exact negations, so its steepness test and the key's products see the
+    same floats, up to the sign of a zero."""
     n = len(ps)
     u, v = np.divmod(keys, n)
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    del u, v
-    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
-    group = 6 * src
-    turn = np.empty(len(src))
-    for k in range(0, len(src), _CLASSIFY_BLOCK):
+    xs, ys = ps.xs, ps.ys
+    cone = np.empty(len(keys), dtype=np.int8)
+    turn = np.empty(len(keys))
+    for k in range(0, len(keys), _CLASSIFY_BLOCK):
         block = slice(k, k + _CLASSIFY_BLOCK)
-        s, d = src[block], dst[block]
+        s, d = u[block], v[block]
         with np.errstate(all="ignore"):
             dx, dy = xs[d] - xs[s], ys[d] - ys[s]
-            cone = cone_indices(dx, dy)
-            ux, uy = np.array(CONE_BISECTORS)[cone].T
+            cone[block] = c = cone_indices(dx, dy)
+            ux, uy = np.array(CONE_BISECTORS)[c].T
             turn[block] = (dx * uy - dy * ux) / (dx * ux + dy * uy)
-        group[block] += cone
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    del u, v
+    group = 6 * src + np.concatenate([cone, (cone + 3) % 6])
     del src
-    order = np.lexsort((turn, group))
+    order = np.lexsort((np.concatenate([turn, turn]), group))
     nbr, group = dst[order], group[order]
     del dst, turn, order
     start = np.zeros(6 * n + 1, dtype=np.int64)
@@ -154,7 +158,7 @@ def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         apex = ps[g // 6]
         cw = functools.cmp_to_key(lambda v, w: orient(apex, ps[v], ps[w]))
         nbr[lo:hi] = sorted(nbr[lo:hi].tolist(), key=cw)
-    return nbr, start
+    return nbr, start, cone
 
 
 #: Below this n, triangle keys (a*n + b)*n + c and n**3 fit in int64.
@@ -201,7 +205,7 @@ def certify_delaunay(ps: PointSet, triangles) -> None:
     failure is the first one a scan of the triangles in order would meet.
     """
     n = len(ps)
-    xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
+    xs, ys = ps.xs, ps.ys
     tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     a, b, c = tri.T
     s = orient_signs(xs, ys, a, b, c)
@@ -406,15 +410,16 @@ def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
     lo, hi = T._start[6 * p + i], T._start[6 * p + i + 1]
     if hi - lo == 1:  # r alone in its cone: no threshold to apply
         return CanonicalSubgraph(p, r, i, (r,), ())
-    xs, ys = T.points.xs, T.points.ys
-    px, py = xs[p], ys[p]
-    threshold = bisector_in_cone(xs[r] - px, ys[r] - py, i)
+    ps = T.points
+    apex = ps[p]
+
+    def length(v: int) -> float:
+        q = ps[v]
+        return bisector_in_cone(q.x - apex.x, q.y - apex.y, i)
+
+    threshold = length(r)
     nbr, canon = T._nbr, T._canon
-    keep = [
-        v
-        for v in nbr[lo:hi]
-        if v == r or bisector_in_cone(xs[v] - px, ys[v] - py, i) >= threshold
-    ]
+    keep = [v for v in nbr[lo:hi] if v == r or length(v) >= threshold]
     keep_set = set(keep)
     edges = tuple(
         (nbr[k], nbr[k + 1])
@@ -433,8 +438,8 @@ def edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
     return uv[0::2], uv[1::2]
 
 
-#: Queries per block of the ragged scans in ``cones_of`` and
-#: ``canonical_subgraphs``: a block's temporaries span its vertices' cones.
+#: Oriented edges per block of ``canonical_subgraphs``' ragged scan: a
+#: block's temporaries span its vertices' cones.
 _SCAN_BLOCK = 1 << 12
 
 
@@ -445,28 +450,19 @@ def _ragged(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) + (lo - first)[owner]
 
 
-# cones 1 to 5, the cones of a vertex after its first
-_LATER = np.arange(1, 6)
-
-
 def cones_of(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``cone_of`` for arrays of pairs: the cone of p[k] holding q[k], or -1
-    where q[k] is not a neighbour of p[k].  A ragged scan of each p[k]'s six
-    cones in the cone table."""
-    nbr = np.frombuffer(T._nbr, dtype=np.intc)
-    start = np.frombuffer(T._start, dtype=np.intc)
-    out = np.empty(len(p), dtype=np.int8)
-    for k in range(0, len(p), _SCAN_BLOCK):
-        a, b = p[k : k + _SCAN_BLOCK], q[k : k + _SCAN_BLOCK]
-        lo = start[6 * a]
-        owner, slot = _ragged(lo, start[6 * a + 6] - lo)
-        hit = nbr[slot] == b[owner]
-        found = np.full(len(a), -1, dtype=start.dtype)
-        found[owner[hit]] = slot[hit]
-        # the cone is the number of later cones of p starting at or before
-        # the slot
-        cone = (start[6 * a[:, None] + _LATER] <= found[:, None]).sum(axis=1)
-        out[k : k + _SCAN_BLOCK] = np.where(found < 0, -1, cone)
+    """``cone_of`` for arrays of pairs of ids below n: the cone of p[k]
+    holding q[k], or -1 where q[k] is not a neighbour of p[k].  The edge is
+    found by its key, and a pair given as (high, low) takes the opposite of
+    the edge's cone."""
+    # an int64 n keeps the keys of C int ids from wrapping
+    n, keys = np.int64(len(T.points)), T._keys
+    key = np.minimum(p, q) * n + np.maximum(p, q)
+    at = np.searchsorted(keys, key)
+    hit = np.flatnonzero(at < len(keys))
+    hit = hit[keys[at[hit]] == key[hit]]
+    out = np.full(len(key), -1, dtype=np.int8)
+    out[hit] = (T._cone[at[hit]] + 3 * (p[hit] > q[hit])) % 6
     return out
 
 
@@ -503,8 +499,8 @@ def canonical_subgraphs(
     """``canonical_subgraph`` of (u[k], v[k]) and then of (v[k], u[k]) for
     each triangulation edge (u[k], v[k]), in blocks of ``_SCAN_BLOCK``
     oriented edges, so that no array spans all of them.  ``cones``, when
-    given, is ``cones_of(T, u, v)`` of the caller, which vouches that every
-    pair is an edge; the cone of v[k] holding u[k] is the opposite one.
+    given, is ``cones_of(T, u, v)`` of the caller; the cone of v[k] holding
+    u[k] is the opposite one.
 
     A member is kept when its bisector length, the float that
     ``bisector_in_cone`` computes, is at least the anchor's, or when it is
@@ -512,21 +508,17 @@ def canonical_subgraphs(
     nbr = np.frombuffer(T._nbr, dtype=np.intc)
     start = np.frombuffer(T._start, dtype=np.intc)
     canon = np.frombuffer(T._canon, dtype=np.bool_)
-    xs, ys = np.asarray(T.points.xs), np.asarray(T.points.ys)
+    xs, ys = T.points.xs, T.points.ys
     ux, uy = np.array(CONE_BISECTORS).T
     step = _SCAN_BLOCK // 2
     for k in range(0, len(u), step):
         a, b = u[k : k + step], v[k : k + step]
         p, r = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
-        if cones is None:
-            cone = cones_of(T, p, r)
-            if (cone < 0).any():
-                j = int(np.argmax(cone < 0))
-                raise ValueError(f"({p[j]},{r[j]}) is not a triangulation edge")
-        else:
-            c = cones[k : k + step]
-            # negating a direction moves cone_indices to the opposite cone
-            cone = np.stack([c, (c + 3) % 6], axis=1).ravel()
+        c = cones_of(T, a, b) if cones is None else cones[k : k + step]
+        if (c < 0).any():
+            j = int(np.argmax(c < 0))
+            raise ValueError(f"({a[j]},{b[j]}) is not a triangulation edge")
+        cone = np.stack([c, (c + 3) % 6], axis=1).ravel()
         g = 6 * p + cone
         lo = start[g]
         size = start[g + 1] - lo

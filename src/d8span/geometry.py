@@ -6,8 +6,7 @@ tried first, and borderline cases fall back to rational arithmetic.  Doubles
 are dyadic rationals, so ``fractions.Fraction`` evaluates the same expression
 without error.
 
-Metric quantities (bisector lengths, triangle corners) are plain doubles;
-comparisons on them use a relative tolerance of ``METRIC_RTOL``.
+Metric quantities (bisector lengths, triangle corners) are plain doubles.
 """
 
 from __future__ import annotations
@@ -15,12 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-# Relative tolerance for metric (non-combinatorial) comparisons.
-METRIC_RTOL = 1e-12
 
 _EPS = math.ulp(1.0) / 2  # 2^-53
 # Static filter constants in the style of Shewchuk's predicates.
@@ -52,34 +48,44 @@ class Point(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Immutable planar point set with contiguous integer ids."""
+    """Immutable planar point set with contiguous integer ids: ``xs`` and
+    ``ys`` are read-only float64 arrays, ``ps[i]`` is a ``Point`` of Python
+    floats, and equality is by value."""
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
             raise ValueError("coordinate arrays differ in length")
-        for v in self.xs + self.ys:
-            if not math.isfinite(v):
-                raise ValueError("coordinates must be finite")
+        xy = np.array([self.xs, self.ys], dtype=np.float64)
+        if not np.isfinite(xy).all():
+            raise ValueError("coordinates must be finite")
+        xy.flags.writeable = False
+        object.__setattr__(self, "xs", xy[0])
+        object.__setattr__(self, "ys", xy[1])
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence[float]]) -> "PointSet":
-        pts = [(float(x), float(y)) for x, y in pairs]
-        return cls(tuple(x for x, _ in pts), tuple(y for _, y in pts))
+    def from_pairs(cls, pairs: Sequence[Sequence[float]]) -> "PointSet":
+        """The points of a sequence of pairs (x, y) or an (n, 2) array."""
+        xy = np.array(pairs, dtype=np.float64).reshape(len(pairs), 2)
+        return cls(xy[:, 0], xy[:, 1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
 
     def __len__(self) -> int:
         return len(self.xs)
 
     def __getitem__(self, i: int) -> Point:
-        return Point(i, self.xs[i], self.ys[i])
+        return Point(i, float(self.xs[i]), float(self.ys[i]))
 
     def __iter__(self):
-        for i in range(len(self.xs)):
-            yield Point(i, self.xs[i], self.ys[i])
+        return map(Point, range(len(self)), self.xs.tolist(), self.ys.tolist())
 
     def coords(self) -> np.ndarray:
         return np.column_stack([self.xs, self.ys])
@@ -416,8 +422,7 @@ def check_general_position(ps: PointSet) -> GeneralPositionReport:
     points lie on an empty circle, and ``build_dt`` rejects those two cases
     exactly.  ``build_dt`` and ``generate`` both run this screen.
     """
-    xs = np.asarray(ps.xs)
-    ys = np.asarray(ps.ys)
+    xs, ys = ps.xs, ps.ys
     order = np.lexsort((xs, ys))  # stable, so ties in (y, x) keep id order
     violations = []
     for k in np.flatnonzero(ys[order[1:]] == ys[order[:-1]]):

@@ -9,6 +9,7 @@ round-trip.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -33,14 +34,17 @@ def parse_points(text: str) -> PointSet:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<x> <y>', got {raw!r}")
         try:
-            pairs.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"line {lineno}: coordinates must be finite, got {raw!r}")
+        pairs.append((x, y))
     return PointSet.from_pairs(pairs)
 
 
 def serialize_points(ps: PointSet) -> str:
-    lines = [f"{x:.17g} {y:.17g}" for x, y in zip(ps.xs, ps.ys)]
+    lines = [f"{x:.17g} {y:.17g}" for x, y in zip(ps.xs.tolist(), ps.ys.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -32,11 +32,11 @@ def render_svg(
     size: int = 800,
     margin: int = 30,
 ) -> str:
-    ps = T.points
-    n = len(ps)
+    xs, ys = T.points.xs.tolist(), T.points.ys.tolist()
+    n = len(xs)
     if n:
-        minx, maxx = min(ps.xs), max(ps.xs)
-        miny, maxy = min(ps.ys), max(ps.ys)
+        minx, maxx = min(xs), max(xs)
+        miny, maxy = min(ys), max(ys)
     else:
         minx = maxx = miny = maxy = 0.0
     span = max(maxx - minx, maxy - miny, 1e-9)
@@ -65,10 +65,10 @@ def render_svg(
             group,
             "line",
             {
-                "x1": f"{sx(ps.xs[u]):.2f}",
-                "y1": f"{sy(ps.ys[u]):.2f}",
-                "x2": f"{sx(ps.xs[v]):.2f}",
-                "y2": f"{sy(ps.ys[v]):.2f}",
+                "x1": f"{sx(xs[u]):.2f}",
+                "y1": f"{sy(ys[u]):.2f}",
+                "x2": f"{sx(xs[v]):.2f}",
+                "y2": f"{sy(ys[v]):.2f}",
                 **style,
             },
         )
@@ -79,7 +79,7 @@ def render_svg(
 
     if cone_vertex is not None:
         g_cones = ET.SubElement(root, "g", {"id": "cones"})
-        cx, cy = ps.xs[cone_vertex], ps.ys[cone_vertex]
+        cx, cy = xs[cone_vertex], ys[cone_vertex]
         ray = span * 0.5
         for k in range(6):
             # boundary rays at 90 - 60k degrees, i.e. starting straight up
@@ -117,8 +117,8 @@ def render_svg(
             g_pts,
             "circle",
             {
-                "cx": f"{sx(ps.xs[i]):.2f}",
-                "cy": f"{sy(ps.ys[i]):.2f}",
+                "cx": f"{sx(xs[i]):.2f}",
+                "cy": f"{sy(ys[i]):.2f}",
                 "r": "3",
                 "fill": "#333333",
             },

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import arc_fan, random_points
@@ -313,8 +314,29 @@ def test_power_of_two_scaling_keeps_selection(k):
     # overflow into a different decision
     ps = generate(RunConfig(300, seed=5))
     f = 2.0**k
-    scaled = PointSet(tuple(x * f for x in ps.xs), tuple(y * f for y in ps.ys))
+    scaled = PointSet(ps.xs * f, ps.ys * f)
     _, sel = construct_d8(ps)
     _, got = construct_d8(scaled)
     assert got.e_a == sel.e_a
     assert got.e_can == sel.e_can
+
+
+@pytest.mark.parametrize("distribution", ["uniform-square", "gaussian", "annulus"])
+@pytest.mark.parametrize(
+    "sx, sy, shuffle",
+    [(-1.0, 1.0, False), (1.0, -1.0, False), (-1.0, -1.0, False), (1.0, 1.0, True)],
+    ids=["mirror-x", "mirror-y", "mirror-both", "reorder"],
+)
+def test_reflection_and_reordering_keep_selection(distribution, sx, sy, shuffle):
+    # negating a coordinate mirrors the cones and keeps every bisector length
+    # the same float, and renumbering the points permutes the sorted edge
+    # list only among ties: both are exact, so the spanner is the same once
+    # the ids are mapped back
+    ps = generate(RunConfig(300, seed=5, distribution=distribution))
+    n = len(ps)
+    perm = np.random.default_rng(5).permutation(n) if shuffle else np.arange(n)
+    _, sel = construct_d8(ps)
+    _, got = construct_d8(PointSet(sx * ps.xs[perm], sy * ps.ys[perm]))
+    back = perm.tolist()
+    for mapped, original in ((got.e_a, sel.e_a), (got.e_can, sel.e_can)):
+        assert {edge_key(back[u], back[v]) for u, v in mapped} == original

@@ -484,12 +484,35 @@ def test_canonical_subgraphs_reject_non_edge():
 
 
 def test_cones_of_matches_cone_of():
+    # both read the triangulation's one cone per edge; check them against
+    # the clockwise rings, on every pair of ids
     T = build_dt(random_points(11, 60))
     n = len(T.points)
     p, q = np.divmod(np.arange(n * n), n)
     got = cones_of(T, p, q).tolist()
     for a, b, c in zip(p.tolist(), q.tolist(), got):
-        assert c == (T.cone_of(a, b) if T.is_edge(a, b) else -1)
+        ring = [i for i in range(6) if b in T.cone(a, i)]
+        if ring:
+            assert [c] == ring and T.cone_of(a, b) == c
+        else:
+            # a == b, or not neighbours, so not a DT pair
+            assert c == -1 and not T.is_edge(a, b)
+            with pytest.raises(ValueError):
+                T.cone_of(a, b)
+
+
+def test_cones_of_int32_ids_past_int32_keys():
+    # the cone table hands out C int ids, and here n * n exceeds int32
+    n = 50_000
+    ps = PointSet.from_pairs(np.random.default_rng(1).uniform(0, 1, (n, 2)))
+    T = triangulation_from_triangles(ps, [(0, n - 2, n - 1)])
+    p = np.array([n - 1, n - 2, 0, 0], dtype=np.intc)
+    q = np.array([n - 2, n - 1, n - 1, 1], dtype=np.intc)
+    ring = [
+        next((i for i in range(6) if b in T.cone(a, i)), -1)
+        for a, b in zip(p.tolist(), q.tolist())
+    ]
+    assert cones_of(T, p, q).tolist() == ring and ring[-1] == -1
 
 
 def test_canonical_mask_python_int_keys(monkeypatch):

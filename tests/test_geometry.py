@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from d8span import geometry
 from d8span.delaunay import build_dt
 from d8span.geometry import (
-    METRIC_RTOL,
     CONE_BISECTORS,
     DegeneratePairError,
     GeneralPositionError,
@@ -342,8 +341,8 @@ def test_bisector_symmetric_and_bounded(px, py, qx, qy):
     b1 = bisector_distance(p, q)
     b2 = bisector_distance(q, p)
     assert b1 == b2  # antiparallel bisectors negate exactly in floats
-    assert b1 <= d * (1 + METRIC_RTOL)
-    assert b1 >= d * math.cos(math.radians(30)) * (1 - METRIC_RTOL)
+    assert b1 <= d * (1 + 1e-12)
+    assert b1 >= d * math.cos(math.radians(30)) * (1 - 1e-12)
 
 
 def test_bisector_table_antiparallel_exact():
@@ -388,6 +387,56 @@ def test_canonical_triangle_geometry(px, py, qx, qy):
     abv = (tri.b[0] - tri.a[0], tri.b[1] - tri.a[1])
     cross = aq[0] * abv[1] - aq[1] * abv[0]
     assert abs(cross) <= 1e-9 * scale * scale
+
+
+# ---------------------------------------------------------------------------
+# PointSet
+
+
+def test_point_set_arrays_read_only():
+    ps = PointSet.from_pairs([(0.0, 1.0), (2.0, 3.0)])
+    for a in (ps.xs, ps.ys):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        with pytest.raises(ValueError):
+            a[0] = 5.0
+    assert ps.xs.tolist() == [0.0, 2.0] and ps.ys.tolist() == [1.0, 3.0]
+
+
+def test_point_set_from_array_and_list_bit_equal():
+    xy = np.random.default_rng(3).normal(0.0, 1e3, size=(40, 2))
+    a, b = PointSet.from_pairs(xy), PointSet.from_pairs(xy.tolist())
+    for u, v in ((a.xs, b.xs), (a.ys, b.ys), (a.xs, xy[:, 0]), (a.ys, xy[:, 1])):
+        assert np.array_equal(u.view(np.uint64), v.view(np.uint64))
+    assert len(PointSet.from_pairs([])) == 0
+
+
+def test_point_set_points_hold_python_floats():
+    ps = PointSet.from_pairs([(0.5, -1.0), (2.0, 3.25)])
+    assert ps[1] == Point(1, 2.0, 3.25) and list(ps) == [ps[0], ps[1]]
+    for p in (ps[0], ps[-1], *ps):
+        assert type(p.x) is float and type(p.y) is float
+
+
+def test_point_set_equality_by_value():
+    ps = PointSet.from_pairs([(0.0, 1.0), (2.0, 3.0)])
+    assert ps == PointSet((0.0, 2.0), (1.0, 3.0))
+    assert ps == PointSet.from_pairs([(-0.0, 1.0), (2.0, 3.0)])
+    assert ps != PointSet.from_pairs([(0.0, 1.0), (2.0, 4.0)])
+    assert ps != PointSet.from_pairs([(0.0, 1.0)])
+    assert ps != [(0.0, 1.0), (2.0, 3.0)]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_point_set_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PointSet.from_pairs([(0.0, 1.0), (2.0, bad)])
+    with pytest.raises(ValueError, match="finite"):
+        PointSet((bad,), (0.0,))
+
+
+def test_point_set_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="differ in length"):
+        PointSet((0.0, 1.0), (0.0,))
 
 
 # ---------------------------------------------------------------------------

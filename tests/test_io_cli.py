@@ -35,12 +35,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_point_file_round_trip_exact(pairs):
     ps = PointSet.from_pairs(pairs)
     again = parse_points(serialize_points(ps))
-    assert again.xs == ps.xs and again.ys == ps.ys
+    assert np.array_equal(again.xs, ps.xs) and np.array_equal(again.ys, ps.ys)
 
 
 def test_parse_ignores_comments_and_blanks():
     ps = parse_points("# header\n\n1 2\n  # mid\n3.5 -4\n")
-    assert ps.xs == (1.0, 3.5) and ps.ys == (2.0, -4.0)
+    assert ps.xs.tolist() == [1.0, 3.5] and ps.ys.tolist() == [2.0, -4.0]
 
 
 def test_parse_rejects_bad_line():
@@ -48,6 +48,11 @@ def test_parse_rejects_bad_line():
         parse_points("1 2 3\n")
     with pytest.raises(ValueError):
         parse_points("a b\n")
+    for bad in ("nan", "inf", "1e400"):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_points(f"0 1\n{bad} 3\n")
+        with pytest.raises(ValueError, match="line 2"):
+            parse_points(f"0 1\n3 -{bad}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +63,7 @@ def test_generate_deterministic():
     cfg = RunConfig(n=50, seed=123)
     a = generate(cfg)
     b = generate(cfg)
-    assert a.xs == b.xs and a.ys == b.ys
+    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
 
 def test_generate_single_point():
