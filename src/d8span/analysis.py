@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .builder import ConstructionError, EdgeSelection, e_a_occupant
+from .builder import _STEPS, ConstructionError, EdgeSelection, e_a_occupant
 from .delaunay import (
     Triangulation,
     _ragged,
@@ -110,12 +110,20 @@ def subgraph_audit(T: Triangulation, sel: EdgeSelection):
     also proves it plane: ``build_dt`` certifies the triangulation, and no
     two edges of a triangulation cross.
 
-    A set keeps each member's hash, so the subset tests read no tuple; only
-    a failing selection is scanned for its offenders."""
-    if sel.e_a <= T.edges and sel.e_can <= T.edges:
-        return {"passed": True, "non_dt_edges": []}
-    offenders = [e for e in sel.e_a | sel.e_can if e not in T.edges]
-    return {"passed": False, "non_dt_edges": offenders}
+    Each pair, as given, is looked up by its key among the triangulation's;
+    only a failing selection reads the tuple views, for its offenders in
+    the order of ``sel.d8_edges``."""
+    n = len(T.points)
+    # n * n exceeds every key of two ids below n, so each search lands
+    # inside the array
+    keys = np.append(T._keys, n * n)
+    for u, v in sel.edge_arrays:
+        key = np.minimum(u * n + v, n * n)
+        found = keys[np.searchsorted(keys, key)] == key
+        if not (found & (0 <= u) & (u < n) & (0 <= v) & (v < n)).all():
+            offenders = [e for e in sel.d8_edges if e not in T.edges]
+            return {"passed": False, "non_dt_edges": offenders}
+    return {"passed": True, "non_dt_edges": []}
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +228,44 @@ def _every_row(g8, xs, ys, dt_u, dt_v) -> tuple[np.ndarray, float]:
     return d8[dt_u, dt_v], _max_ratio(d8[:, 1:], ed, upper)
 
 
-def _settled(g8, sources, limit, row, col) -> np.ndarray:
-    """Dijkstra rows from the sources on g8, bounded at ``limit``; a source
-    that leaves one of its needed targets, (row[k], col[k]), unsettled gets
-    its full row."""
-    d = _csgraph_dijkstra(g8, directed=True, indices=sources, limit=limit)
-    late = np.unique(row[np.isinf(d[row, col])])
+def _settled(g8, sources, limits, row, col) -> np.ndarray:
+    """The spanner distance from sources[row[k]] to col[k], for each k, by
+    Dijkstra from the sources on g8, each bounded at no less than its own
+    limit: the sources run in order of limit, in groups whose limits lie
+    within a factor 2, each group bounded at its largest.  A source that
+    leaves one of its targets unsettled gets its full row."""
+    out = np.empty(len(row))
+    order = np.argsort(limits, kind="stable")
+    ranked = limits[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # the pairs by the rank of their source, so that a group's are a run
+    pos = rank[row]
+    by = np.argsort(pos, kind="stable")
+    ranks = pos[by]
+    k = 0
+    while k < len(order):
+        with np.errstate(over="ignore"):
+            end = max(k + 1, int(np.searchsorted(ranked, 2 * ranked[k], "right")))
+        d = _csgraph_dijkstra(
+            g8, directed=True, indices=sources[order[k:end]], limit=ranked[end - 1]
+        )
+        pairs = by[np.searchsorted(ranks, k) : np.searchsorted(ranks, end)]
+        out[pairs] = d[pos[pairs] - k, col[pairs]]
+        k = end
+    late = np.flatnonzero(np.isinf(out))
     if len(late):
-        d[late] = _csgraph_dijkstra(g8, directed=True, indices=sources[late])
-    return d
+        need, at = np.unique(row[late], return_inverse=True)
+        d = _csgraph_dijkstra(g8, directed=True, indices=sources[need])
+        out[late] = d[at, col[late]]
+    return out
 
 
 def _edge_paths(g8, xs, ys, dt_u, dt_v, rows) -> np.ndarray:
     """The spanner distance of each DT edge (dt_u[k], dt_v[k]), from the row
     of its low end: Dijkstra from blocks of ``rows`` low ends, taken in
-    order of their longest edge and bounded at ``_EDGE_REACH`` times the
-    block's longest."""
+    order of their longest edge, each bounded at ``_EDGE_REACH`` times its
+    own longest."""
     n = len(xs)
     bounds = np.searchsorted(dt_u, np.arange(n + 1))
     ends = np.flatnonzero(np.diff(bounds))
@@ -248,8 +278,7 @@ def _edge_paths(g8, xs, ys, dt_u, dt_v, rows) -> np.ndarray:
     for k in range(0, len(ends), rows):
         block = ends[k : k + rows]
         row, e = _ragged(bounds[block], bounds[block + 1] - bounds[block])
-        d = _settled(g8, block, reach[k : k + rows][-1], row, dt_v[e])
-        path[e] = d[row, dt_v[e]]
+        path[e] = _settled(g8, block, reach[k : k + rows], row, dt_v[e])
     return path
 
 
@@ -276,8 +305,9 @@ def _sweep(g8, xs, ys, rows, worst: float) -> float:
     one full Dijkstra row r.  A pair of which s is in the cell is certified
     when q[s] + q[t] < |st|, with q = r / (worst (1 - _MARGIN) / (1 +
     _MARGIN)) + _FLOOR, for then its ratio cannot exceed ``worst``.  The
-    other pairs get one Dijkstra per block of ``rows`` sources, bounded at
-    worst (1 + _MARGIN) times their longest |st|, and raise ``worst``."""
+    other pairs get one Dijkstra per block of ``rows`` sources, each source
+    bounded at worst (1 + _MARGIN) times its own longest |st|, and raise
+    ``worst``."""
     n = len(xs)
     for cell in _cells(xs, ys):
         cx, cy = xs[cell].mean(), ys[cell].mean()
@@ -299,10 +329,12 @@ def _sweep(g8, xs, ys, rows, worst: float) -> float:
                 continue
             ed = ed[row, col]
             need, row = np.unique(row, return_inverse=True)
+            # row is non-decreasing: each source's pairs are one run
+            runs = np.flatnonzero(np.diff(row, prepend=-1))
             with np.errstate(over="ignore", invalid="ignore"):
-                limit = worst * ed.max() * (1 + _MARGIN)
-            d = _settled(g8, s[need], limit, row, col + first)
-            worst = float(np.maximum(worst, _max_ratio(d[row, col + first], ed, True)))
+                limits = worst * np.maximum.reduceat(ed, runs) * (1 + _MARGIN)
+            d = _settled(g8, s[need], limits, row, col + first)
+            worst = float(np.maximum(worst, _max_ratio(d, ed, True)))
             if worst != worst:
                 return worst  # a NaN ratio: the maximum is NaN
     return worst
@@ -373,8 +405,9 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     ends = xs[dt_u], ys[dt_u], xs[dt_v], ys[dt_v]
     per_edge = {}
     max_edge_ratio = 1.0
+    edges = zip(dt_u.tolist(), dt_v.tolist())
     for e, i, length, px, py, qx, qy in zip(
-        T._by_key, T._cone.tolist(), path.tolist(), *(c.tolist() for c in ends)
+        edges, T._cone.tolist(), path.tolist(), *(c.tolist() for c in ends)
     ):
         d = math.hypot(qx - px, qy - py)
         per_edge[e] = EdgeStretch(
@@ -596,13 +629,27 @@ def _selected_cones(T, u: np.ndarray, v: np.ndarray, cone: np.ndarray) -> np.nda
 def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
     """The canonical-path, anchor-cone and extremal-cone verdicts, from the
     canonical subgraph of each oriented E_A edge, computed once as arrays by
-    ``canonical_subgraphs`` from T and ``sel.e_a`` alone.  Each keeps its
-    first counterexample in the order of ``sel.e_a``, each edge (u, v) as
-    (u, v) and then (v, u); a non-DT edge is skipped, the subgraph audit
-    reports it.  The counterexamples are rebuilt with the scalar
-    ``canonical_subgraph``."""
+    ``canonical_subgraphs`` from T and the selection's arrays alone.  Each
+    keeps its first counterexample in the order of ``sel.e_a``, each edge
+    (u, v) as (u, v) and then (v, u); a non-DT edge is skipped, the subgraph
+    audit reports it.  The pass runs in key order, and only a selection it
+    rejects is scanned again in the order of ``sel.e_a``, for the first
+    counterexamples, rebuilt with the scalar ``canonical_subgraph``."""
+    (u, v), _ = sel.edge_arrays
+    found = _lemma_scan(T, sel, u, v, stop=1)
+    if found:
+        found = _lemma_scan(T, sel, *edge_arrays(sel.e_a), stop=3)
+    return [
+        AuditVerdict(name, name not in found, found.get(name))
+        for name in ("canonical_path", "anchor_cones", "extremal_cone")
+    ]
+
+
+def _lemma_scan(T, sel, u, v, stop: int) -> dict[str, dict]:
+    """The first counterexample of each lemma over the E_A pairs (u[k],
+    v[k]) in turn, by name; the scan ends once ``stop`` lemmas have one."""
     n = len(T.points)
-    (u, v), (cu, cv) = sel.edge_arrays
+    _, (cu, cv) = sel.edge_arrays
     # n * n exceeds every key, so each search lands inside the array
     e_a = np.append(_keys(u, v, n), n * n)
     u, v, cone = _dt_cones(T, u, v)
@@ -647,12 +694,9 @@ def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
                     "apex": int(a[k]), "anchor": int(anchor[k]),
                     "edge": (int(y[k]), int(z[k])), "cone": int(cone[k]),
                 }
-        if len(found) == 3:
+        if len(found) >= stop:
             break
-    return [
-        AuditVerdict(name, name not in found, found.get(name))
-        for name in ("canonical_path", "anchor_cones", "extremal_cone")
-    ]
+    return found
 
 
 def _selected_in(T, sel, v: int, i: int) -> list[int]:
@@ -825,9 +869,27 @@ def audit_shared_triangles(T, sel=None) -> AuditVerdict:
     )
 
 
+#: The code of step 4b in ``EdgeSelection.events``.
+_STEP_4B = _STEPS.index("4b")
+
+
 def audit_charged_cones(T, sel) -> AuditVerdict:
     """Edges recorded as boundary-cone additions (step 4b) must occupy a cone
-    of their end vertex that holds no selected incident edge."""
+    of their end vertex that holds no selected incident edge.
+
+    The step 4b events are checked against the cones E_A occupies, as
+    arrays; only a failing selection reads ``sel.provenance``, for its first
+    counterexample."""
+    n = len(T.points)
+    (u, v), _ = sel.edge_arrays
+    occupied = _selected_cones(T, *_dt_cones(T, u, v))
+    e = sel.events
+    four_b = e.step == _STEP_4B
+    z, cone = e.end[four_b], e.cone[four_b]
+    fine = (0 <= z) & (z < n) & (0 <= cone) & (cone < 6)
+    fine[fine] = ~occupied[6 * z[fine] + cone[fine]]
+    if fine.all():
+        return AuditVerdict("charged_cones", True)
     for edge, provs in sel.provenance.items():
         for prov in provs:
             if prov.step != "4b":

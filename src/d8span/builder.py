@@ -50,11 +50,17 @@ def sort_edges(T: Triangulation) -> SortedEdges:
 
 
 class IncidentEdges(NamedTuple):
-    """The greedy selection: the accepted edges in sorted order, and at
-    6p + i the far end of the accepted edge leaving p into cone i, or -1."""
+    """The greedy selection: the accepted edges (u, v), u < v, as the rows
+    of an int array in the order taken, and at 6p + i the far end of the
+    accepted edge leaving p into cone i, or -1."""
 
-    edges: list[tuple[int, int]]
+    ends: np.ndarray
     occupant: array
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The accepted edges as tuples, in the order taken."""
+        return list(map(tuple, self.ends.tolist()))
 
 
 def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
@@ -65,9 +71,7 @@ def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
     into cone i+3.  At most one accepted edge per vertex-cone pair, hence
     degree at most 6.
 
-    The accepted edges are ``T.edges``' own tuples, found by key in their
-    key-ordered list, and ``occupant`` a C int array, so the selection holds
-    no second copy of an edge or of an id.
+    The scan runs on Python ints, with ``occupant`` a C int array.
     """
     n = len(T.points)
     occupant = array("i", [-1]) * (6 * n)
@@ -78,8 +82,7 @@ def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
             taken.append(k)
             occupant[sp] = q
             occupant[sq] = p
-    at = np.searchsorted(T._keys, (L.u * n + L.v)[taken])
-    return IncidentEdges([T._by_key[k] for k in at.tolist()], occupant)
+    return IncidentEdges(np.stack([L.u[taken], L.v[taken]], axis=1), occupant)
 
 
 @dataclass(frozen=True)
@@ -91,29 +94,127 @@ class Provenance:
     cone: int | None = None  # cone of the end vertex examined in step 4
 
 
-@dataclass(frozen=True)
+#: Provenance steps by code, in the order one selected edge adds them.
+_STEPS = ("2", "3", "4a", "4b", "4c")
+
+
+class Events(NamedTuple):
+    """Provenance as parallel arrays, one entry per event: the edge (u, v)
+    it adds, its step as an index into ``_STEPS``, the selected edge's apex
+    and anchor, and from step 4 on the end vertex and its cone, else -1."""
+
+    u: np.ndarray
+    v: np.ndarray
+    step: np.ndarray
+    apex: np.ndarray
+    anchor: np.ndarray
+    end: np.ndarray
+    cone: np.ndarray
+
+
+_EVENT_TYPES = Events(np.intp, np.intp, np.int8, np.intp, np.intp, np.intp, np.int8)
+
+
+def _events(blocks) -> Events:
+    """The events of the given Events blocks in turn, as one Events."""
+    empty = (np.empty(0, dtype=t) for t in _EVENT_TYPES)
+    return Events(*map(np.concatenate, zip(empty, *blocks)))
+
+
+def _provenance_items(events: Events):
+    """Each event as (edge, Provenance), in turn, in Python ints."""
+    for s, t, code, p, r, z, j in zip(*(c.tolist() for c in events)):
+        if code < 2:
+            yield (s, t), Provenance(_STEPS[code], p, r)
+        else:
+            yield (s, t), Provenance(_STEPS[code], p, r, z, j)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _pairs(u: np.ndarray, v: np.ndarray) -> frozenset[tuple[int, int]]:
+    return frozenset(zip(u.tolist(), v.tolist()))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class EdgeSelection:
-    e_a: frozenset[tuple[int, int]]
-    e_can: frozenset[tuple[int, int]]
-    provenance: dict[tuple[int, int], list[Provenance]] = field(default_factory=dict)
+    """The selected edges and the provenance of E_CAN, held as arrays.
+
+    ``edge_arrays`` holds the pairs (u, v) of E_A and then of E_CAN, each
+    as two read-only int arrays in key order (by u, then by v); ``events``
+    holds the provenance, one event per (edge, step) the completion added,
+    in the order it added them.
+
+    ``e_a``, ``e_can``, ``d8_edges`` and ``provenance`` are views built on
+    first use.  ``EdgeSelection(e_a, e_can, provenance)`` assembles one from
+    Python collections, which are then its views, pairs as given;
+    ``select_edges`` assembles one from arrays."""
+
+    edge_arrays: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    events: Events = field(repr=False)
+
+    def __init__(self, e_a, e_can, provenance=None):
+        e_a, e_can = frozenset(e_a), frozenset(e_can)
+        provenance = {} if provenance is None else provenance
+        code = {step: k for k, step in enumerate(_STEPS)}
+        rows = [
+            (*edge, code.get(p.step, -1), p.apex, p.anchor,
+             -1 if p.end_vertex is None else p.end_vertex,
+             -1 if p.cone is None else p.cone)
+            for edge, provs in provenance.items()
+            for p in provs
+        ]
+        columns = np.array(rows, dtype=np.intp).reshape(-1, 7).T
+        events = Events(*(c.astype(t) for c, t in zip(columns, _EVENT_TYPES)))
+        ends = []
+        for edges in (e_a, e_can):
+            u, v = edge_arrays(edges)
+            order = np.lexsort((v, u))
+            ends.append((u[order], v[order]))
+        self._assemble(*ends, events)
+        self.__dict__.update(e_a=e_a, e_can=e_can, provenance=provenance)
+
+    @classmethod
+    def _from_arrays(cls, e_a, e_can, events: Events):
+        sel = cls.__new__(cls)
+        sel._assemble(e_a, e_can, events)
+        return sel
+
+    def _assemble(self, e_a, e_can, events) -> None:
+        object.__setattr__(self, "edge_arrays", (_frozen(*e_a), _frozen(*e_can)))
+        object.__setattr__(self, "events", Events(*_frozen(*events)))
 
     @cached_property
-    def edge_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The ends (u, v) of ``e_a`` and then of ``e_can``, each as two
-        read-only int arrays in the set's iteration order.  Converted on
-        first use; the selection is frozen, so they never go stale."""
-        out = (edge_arrays(self.e_a), edge_arrays(self.e_can))
-        for ends in out:
-            for a in ends:
-                a.flags.writeable = False
-        return out
+    def e_a(self) -> frozenset[tuple[int, int]]:
+        return _pairs(*self.edge_arrays[0])
 
-    @property
+    @cached_property
+    def e_can(self) -> frozenset[tuple[int, int]]:
+        return _pairs(*self.edge_arrays[1])
+
+    @cached_property
     def d8_edges(self) -> frozenset[tuple[int, int]]:
         return self.e_a | self.e_can
 
+    @cached_property
+    def provenance(self) -> dict[tuple[int, int], list[Provenance]]:
+        out: dict[tuple[int, int], list[Provenance]] = {}
+        for edge, prov in _provenance_items(self.events):
+            out.setdefault(edge, []).append(prov)
+        return out
+
     def has_d8_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.e_a or edge_key(u, v) in self.e_can
+        u, v = edge_key(u, v)
+        for us, vs in self.edge_arrays:
+            lo, hi = us.searchsorted(u), us.searchsorted(u, side="right")
+            k = lo + vs[lo:hi].searchsorted(v)
+            if k < hi and vs[k] == v:
+                return True
+        return False
 
 
 def e_a_occupant(T: Triangulation, e_a, v: int, cone: int) -> int | None:
@@ -139,18 +240,15 @@ def add_canonical(
     (b,) = canonical_subgraphs(T, np.array([p]), np.array([r]))
     if occupant[6 * p + int(b.cone[0])] != r:
         raise ValueError(f"({p},{r}) not in the selected incident set")
-    return _completion(T, occupant, b, pick=np.array([True, False]))
+    events = _completion(T, occupant, b, pick=np.array([True, False]))
+    return list(_provenance_items(events))
 
 
-#: Provenance steps by code, in the order one selected edge adds them.
-_STEPS = ("2", "3", "4a", "4b", "4c")
-
-
-def _completion(T, occupant, b, pick: np.ndarray) -> list:
+def _completion(T, occupant, b, pick: np.ndarray) -> Events:
     """Steps 2-4 for the selected edges (p, r) of block b that the mask
-    ``pick`` marks, as (edge, Provenance) pairs: edge by edge, and for each
-    the step 2 edges clockwise, the step 3 edge, then step 4 for the last
-    and for the first extremal edge.
+    ``pick`` marks, as events: edge by edge, and for each the step 2 edges
+    clockwise, the step 3 edge, then step 4 for the last and for the first
+    extremal edge.
 
     Cone indices below follow the construction stated for i = 0 and are
     rotated by i; the first extremal edge is handled with the mirrored cone
@@ -203,18 +301,19 @@ def _completion(T, occupant, b, pick: np.ndarray) -> list:
 
     row = np.concatenate(row)
     order = np.argsort(row, kind="stable")
-    columns = [np.concatenate(x)[order].tolist() for x in (step, y, z, j)]
-    apex, anchor = b.p[row[order]].tolist(), b.r[row[order]].tolist()
-    out = []
-    for code, s, t, cone, p, r in zip(*columns, apex, anchor):
-        if code < 2:
-            prov = Provenance(_STEPS[code], p, r)
-        else:
-            prov = Provenance(_STEPS[code], p, r, t, cone)
-            if code == 4:
-                s, t = _step_4c(T, p, r, s, t, cone)
-        out.append(((s, t) if s < t else (t, s), prov))
-    return out
+    row = row[order]
+    step, y, z, j = (np.concatenate(x)[order] for x in (step, y, z, j))
+    step, j = step.astype(np.int8), j.astype(np.int8)
+    s, t = y.astype(np.intp), z.astype(np.intp)
+    apex, anchor = b.p[row], b.r[row]
+    later = step >= 2
+    end, cone = np.where(later, t, -1), np.where(later, j, np.int8(-1))
+    # step 4c reads a cone for its few events
+    for k in np.flatnonzero(step == 4).tolist():
+        s[k], t[k] = _step_4c(
+            T, int(apex[k]), int(anchor[k]), int(s[k]), int(t[k]), int(j[k])
+        )
+    return Events(np.minimum(s, t), np.maximum(s, t), step, apex, anchor, end, cone)
 
 
 def _step_4c(T, p: int, r: int, y: int, z: int, cone: int) -> tuple[int, int]:
@@ -244,19 +343,20 @@ def select_edges(T: Triangulation) -> EdgeSelection:
 
     The canonical subgraphs come as arrays from ``canonical_subgraphs``, and
     the completion decides on them, a block at a time; only step 4c and a
-    failure read a cone again."""
+    failure read a cone again.  E_A and E_CAN are kept as arrays in key
+    order and the provenance as events: no tuple is built."""
+    n = len(T.points)
     L = sort_edges(T)
-    e_a, occupant = add_incident(T, L)
-    blocks = canonical_subgraphs(T, *_accepted(L, occupant))
+    occupant = add_incident(T, L).occupant
+    u, v, cone = _accepted(L, occupant)
     del L  # free the sorted list before the completion
-    provenance: dict[tuple[int, int], list[Provenance]] = {}
-    for b in blocks:
-        pick = np.ones(len(b.p), dtype=bool)
-        for edge, prov in _completion(T, occupant, b, pick):
-            provenance.setdefault(edge, []).append(prov)
-    return EdgeSelection(
-        e_a=frozenset(e_a), e_can=frozenset(provenance), provenance=provenance
+    events = _events(
+        _completion(T, occupant, b, np.ones(len(b.p), dtype=bool))
+        for b in canonical_subgraphs(T, u, v, cone)
     )
+    e_a = np.divmod(np.sort(u * n + v), n)
+    e_can = np.divmod(np.unique(events.u * n + events.v), n)
+    return EdgeSelection._from_arrays(e_a, e_can, events)
 
 
 def construct_d8(ps: PointSet) -> tuple[Triangulation, EdgeSelection]:

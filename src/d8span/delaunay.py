@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from array import array
 from collections.abc import Iterator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
@@ -44,44 +44,69 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Triangulation:
-    points: PointSet
-    edges: frozenset[tuple[int, int]]
-    triangles: tuple[tuple[int, int, int], ...]  # sorted triples
-    # ``triangles`` as an (m, 3) int64 array, when the caller has one
-    _tri: InitVar[np.ndarray | None] = None
-    # ``edges``' own tuples in key order (u * n + v), when the caller has them
-    _ordered: InitVar[list | None] = None
-    # Cone table, as C int arrays Python indexes cheaply: the far ends of
-    # the 2E oriented edges grouped by (vertex, cone), clockwise within a
-    # group; group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].
-    # _canon[k] is 1 for the canonical edge (_nbr[k], _nbr[k + 1]) of its
-    # group.
-    _nbr: array = field(init=False, repr=False, compare=False)
-    _start: array = field(init=False, repr=False, compare=False)
-    _canon: bytes = field(init=False, repr=False, compare=False)
-    # ``edges``' own tuples (u, v) in key order, their sorted keys u * n + v
-    # and the cone of u holding v, as int8
-    _by_key: list = field(init=False, repr=False, compare=False)
-    _keys: np.ndarray = field(init=False, repr=False, compare=False)
-    _cone: np.ndarray = field(init=False, repr=False, compare=False)
+    """A triangulation of ``points``, held as arrays.
 
-    def __post_init__(self, tri, ordered):
-        if tri is None:
-            tri = np.array(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if ordered is None:
-            ordered = sorted(self.edges)
-        u, v = edge_arrays(ordered)
-        keys = u * len(self.points) + v
-        object.__setattr__(self, "_by_key", ordered)
-        object.__setattr__(self, "_keys", keys)
-        nbr, start, cone = _cone_table(self.points, keys)
-        object.__setattr__(self, "_cone", cone)
+    ``_keys`` are the sorted keys u * n + v of its edges (u, v), u < v, and
+    ``_cone`` the cone of u holding v for each key, as int8; ``_tri`` is its
+    triangles, an (m, 3) int64 array of sorted triples.  The cone table is
+    held as C int arrays Python indexes cheaply: the far ends of the 2E
+    oriented edges grouped by (vertex, cone), clockwise within a group;
+    group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].  _canon[k] is
+    1 for the canonical edge (_nbr[k], _nbr[k + 1]) of its group.
+
+    ``edges``, ``triangles`` and ``_by_key`` (the edges in key order) are
+    views built on first use.  ``Triangulation(points, edges, triangles)``
+    assembles one from Python collections, which are then its views;
+    ``triangulation_from_triangles`` assembles one from arrays."""
+
+    points: PointSet
+    _keys: np.ndarray = field(repr=False)
+    _cone: np.ndarray = field(repr=False)
+    _tri: np.ndarray = field(repr=False)
+    _nbr: array = field(repr=False)
+    _start: array = field(repr=False)
+    _canon: bytes = field(repr=False)
+
+    def __init__(self, points: PointSet, edges, triangles):
+        u, v = edge_arrays(sorted(edges))
+        tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+        self._assemble(points, u * len(points) + v, tri)
+        self.__dict__.update(edges=edges, triangles=triangles)
+
+    @classmethod
+    def _from_arrays(cls, points: PointSet, keys: np.ndarray, tri: np.ndarray):
+        T = cls.__new__(cls)
+        T._assemble(points, keys, tri)
+        return T
+
+    def _assemble(self, points, keys, tri) -> None:
+        nbr, start, cone = _cone_table(points, keys)
         canon = _canonical_mask(tri, nbr, start)
-        object.__setattr__(self, "_canon", canon.tobytes())
-        object.__setattr__(self, "_nbr", array("i", nbr.astype(np.intc).tobytes()))
-        object.__setattr__(self, "_start", array("i", start.astype(np.intc).tobytes()))
+        for a in (keys, cone, tri):
+            a.flags.writeable = False
+        state = {
+            "points": points, "_keys": keys, "_cone": cone, "_tri": tri,
+            "_nbr": array("i", nbr.astype(np.intc).tobytes()),
+            "_start": array("i", start.astype(np.intc).tobytes()),
+            "_canon": canon.tobytes(),
+        }
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def _by_key(self) -> list[tuple[int, int]]:
+        u, v = np.divmod(self._keys, len(self.points))
+        return list(zip(u.tolist(), v.tolist()))
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self._by_key)
+
+    @functools.cached_property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(*(c.tolist() for c in self._tri.T)))
 
     def cone(self, p: int, i: int) -> tuple[int, ...]:
         """Neighbours of p in cone i, in clockwise order."""
@@ -96,7 +121,13 @@ class Triangulation:
         return i
 
     def is_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edges
+        u, v = edge_key(u, v)
+        n, keys = len(self.points), self._keys
+        if not 0 <= u < v < n:
+            return False
+        key = u * n + v
+        k = int(keys.searchsorted(key))
+        return k < len(keys) and int(keys[k]) == key
 
 
 def _edge_keys(tri: np.ndarray, n: int) -> np.ndarray:
@@ -344,12 +375,8 @@ def triangulation_from_triangles(ps: PointSet, triangles) -> Triangulation:
 
     No Delaunay property is checked here; ``build_dt`` checks before it
     assembles, and hand-built fixtures and negative controls need not."""
-    n = len(ps)
     tri = np.sort(np.asarray(triangles, dtype=np.int64).reshape(-1, 3), axis=1)
-    u, v = np.divmod(_edge_keys(tri, n), n)
-    ordered = list(zip(u.tolist(), v.tolist()))
-    triangles = tuple(zip(*(c.tolist() for c in tri.T)))
-    return Triangulation(ps, frozenset(ordered), triangles, tri, ordered)
+    return Triangulation._from_arrays(ps, _edge_keys(tri, len(ps)), tri)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +481,19 @@ def cones_of(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``cone_of`` for arrays of pairs of ids below n: the cone of p[k]
     holding q[k], or -1 where q[k] is not a neighbour of p[k].  The edge is
     found by its key, and a pair given as (high, low) takes the opposite of
-    the edge's cone."""
+    the edge's cone.  The keys are searched in sorted order, which keeps
+    the search in cache, and the answers scattered back to the pairs."""
     # an int64 n keeps the keys of C int ids from wrapping
     n, keys = np.int64(len(T.points)), T._keys
     key = np.minimum(p, q) * n + np.maximum(p, q)
-    at = np.searchsorted(keys, key)
+    order = np.argsort(key)
+    ranked = key[order]
+    at = np.searchsorted(keys, ranked)
     hit = np.flatnonzero(at < len(keys))
-    hit = hit[keys[at[hit]] == key[hit]]
+    hit = hit[keys[at[hit]] == ranked[hit]]
     out = np.full(len(key), -1, dtype=np.int8)
-    out[hit] = (T._cone[at[hit]] + 3 * (p[hit] > q[hit])) % 6
+    k = order[hit]
+    out[k] = (T._cone[at[hit]] + 3 * (p[k] > q[k])) % 6
     return out
 
 

@@ -54,6 +54,7 @@ from d8span.delaunay import (
 )
 from d8span.geometry import PointSet, canonical_triangle, cone_index, euclid
 from d8span.pointio import RunConfig, generate
+from d8span.report import report_json
 
 
 def test_constants():
@@ -104,15 +105,28 @@ def test_degree_audit_triangle():
 
 def test_selection_is_frozen_and_converts_once(small_instance):
     _, _, sel = small_instance
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sel.e_a = frozenset()
-    arrays = sel.edge_arrays
-    assert sel.edge_arrays is arrays
-    for edges, (u, v) in zip((sel.e_a, sel.e_can), arrays):
-        # the set's iteration order, Python ints
-        assert list(zip(u.tolist(), v.tolist())) == list(edges)
-        with pytest.raises(ValueError):
-            u[0] = 0
+    hand = EdgeSelection(e_a=set(sel.e_a), e_can=list(sel.e_can))
+    for s in (sel, hand):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.e_a = frozenset()
+        arrays = s.edge_arrays
+        assert s.edge_arrays is arrays
+        for edges, (u, v) in zip((s.e_a, s.e_can), arrays):
+            # key order, Python ints in the views
+            assert list(zip(u.tolist(), v.tolist())) == sorted(edges)
+            assert all(type(x) is int for e in edges for x in e)
+            with pytest.raises(ValueError):
+                u[0] = 0
+    assert hand.e_a == sel.e_a and hand.e_can == sel.e_can
+
+
+def test_pipeline_builds_no_views():
+    # construction, the structural audits and the report run on the arrays
+    ps = generate(RunConfig(n=300, seed=3))
+    T, sel = construct_d8(ps)
+    report_json(run_audits(T, sel, with_stretch=False))
+    assert not {"edges", "triangles", "_by_key"} & set(vars(T))
+    assert not {"e_a", "e_can", "d8_edges", "provenance"} & set(vars(sel))
 
 
 def _selection_with_reversed_pairs():
@@ -273,6 +287,43 @@ def _check_streamed(monkeypatch, dist, n, seed, cells, degrade):
 @pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
 def test_streamed_stretch_equals_dense(monkeypatch, dist, n, seed, cells, degrade):
     _check_streamed(monkeypatch, dist, n, seed, cells, degrade)
+
+
+def _long_hull_edges(n: int, seed: int) -> PointSet:
+    """n - 6 uniform points in the unit square and six far points around
+    them, at about 40 times its side: the hull's edges and those joining it
+    to the square are long, the rest short."""
+    rng = np.random.default_rng(seed)
+    angles = np.arange(6) * np.pi / 3 + rng.uniform(0.1, 0.9, 6)
+    far = 0.5 + 40 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return PointSet.from_pairs(np.concatenate([rng.uniform(0, 1, (n - 6, 2)), far]))
+
+
+@pytest.mark.parametrize("cells", [1, 7 * 200], ids=["row", "ragged"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stretch_long_hull_edges_equals_dense(monkeypatch, seed, cells):
+    # per-source limits spread widest here: one block holds sources whose
+    # limits lie more than a factor 2 apart, which run as separate groups
+    ps = _long_hull_edges(200, seed)
+    T, sel = construct_d8(ps)
+    spread, settled = [], analysis._settled
+
+    def spy(g8, sources, limits, row, col):
+        spread.append(limits.max() / limits.min())
+        return settled(g8, sources, limits, row, col)
+
+    monkeypatch.setattr(analysis, "_settled", spy)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+    s = stretch_vs_dt(T, sel)
+    d8, vs_dt, vs_euclid = _dense_stretch(ps, T, sel)
+    assert cells == 1 or max(spread) > 2
+    assert s.connected and s.ok
+    assert (s.all_pairs_max_ratio_vs_dt, s.all_pairs_max_ratio_vs_euclid) == (
+        vs_dt, vs_euclid
+    )
+    assert {e: x.path_length for e, x in s.per_dt_edge.items()} == {
+        (u, v): float(d8[u, v]) for u, v in T.edges
+    }
 
 
 def _count_sweeps(monkeypatch) -> list:

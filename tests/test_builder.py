@@ -128,12 +128,19 @@ def test_add_incident_two_competitors_in_one_cone():
     assert e_a == _add_incident_reference(T)
 
 
-def test_add_incident_shares_triangulation_tuples():
-    # the selection holds T.edges' own tuples, not copies
+def test_add_incident_takes_triangulation_keys():
+    # the accepted edges are triangulation edges in the order the sorted
+    # list takes them, and the selection holds their keys in key order
     T = build_dt(random_points(5, 200))
-    own = {e: e for e in T.edges}
-    edges = add_incident(T, sort_edges(T)).edges
-    assert edges and all(own[e] is e for e in edges)
+    L = sort_edges(T)
+    n = len(T.points)
+    ends = add_incident(T, L).ends
+    key = ends[:, 0] * n + ends[:, 1]
+    assert len(key) and np.isin(key, T._keys).all()
+    taken = np.isin(L.u * n + L.v, key)
+    assert np.array_equal(ends, np.stack([L.u[taken], L.v[taken]], axis=1))
+    u, v = select_edges(T).edge_arrays[0]
+    assert np.array_equal(u * n + v, np.sort(key))
 
 
 def test_one_e_a_edge_per_vertex_cone():

@@ -24,6 +24,7 @@ from d8span.builder import add_incident, construct_d8, sort_edges
 from d8span.delaunay import (
     CanonicalSubgraph,
     ConstructionError,
+    Triangulation,
     build_dt,
     canonical_subgraph,
     canonical_subgraphs,
@@ -513,6 +514,51 @@ def test_cones_of_int32_ids_past_int32_keys():
         for a, b in zip(p.tolist(), q.tolist())
     ]
     assert cones_of(T, p, q).tolist() == ring and ring[-1] == -1
+
+
+def test_cones_of_shuffled_pairs_match_cone_of():
+    # the keys are searched in sorted order and the answers scattered back:
+    # pairs in random order, misses and both orientations included
+    T = build_dt(random_points(11, 60))
+    n = len(T.points)
+    rng = np.random.default_rng(3)
+    p, q = rng.integers(0, n, 4000), rng.integers(0, n, 4000)
+    u, v = np.divmod(T._keys, n)
+    p, q = np.concatenate([p, u, v]), np.concatenate([q, v, u])
+    order = rng.permutation(len(p))
+    p, q = p[order], q[order]
+
+    def scalar(a, b):
+        try:
+            return T.cone_of(a, b)
+        except ValueError:
+            return -1
+
+    got = cones_of(T, p, q).tolist()
+    assert got == [scalar(a, b) for a, b in zip(p.tolist(), q.tolist())]
+    assert -1 in got and set(got) - {-1} == set(range(6))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 60])
+def test_hand_built_triangulation_matches_arrays(n):
+    # Triangulation(points, edges, triangles) and triangulation_from_triangles
+    # hold the same arrays and show the same views
+    ps = random_points(7, n)
+    T = build_dt(ps)
+    hand = Triangulation(ps, frozenset(T.edges), tuple(T.triangles))
+    arrays = triangulation_from_triangles(ps, T._tri)
+    for a in (hand, arrays):
+        assert np.array_equal(a._keys, T._keys)
+        assert np.array_equal(a._cone, T._cone)
+        assert np.array_equal(a._tri, T._tri)
+        assert (a._nbr, a._start, a._canon) == (T._nbr, T._start, T._canon)
+        assert a.edges == T.edges and a.triangles == T.triangles
+        assert a._by_key == sorted(T.edges)
+        assert all(type(x) is int for e in a._by_key for x in e)
+        assert all(type(x) is int for t in a.triangles for x in t)
+        for x in (a._keys, a._cone, a._tri):
+            with pytest.raises(ValueError):
+                x[...] = 0
 
 
 def test_canonical_mask_python_int_keys(monkeypatch):
