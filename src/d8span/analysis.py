@@ -195,6 +195,12 @@ _FLOOR = 2.0**-1001
 _EDGE_REACH = 2.3
 
 
+def _rows(n: int) -> int:
+    """Sources per Dijkstra call on n vertices: each call's distance array
+    holds about ``_BLOCK_CELLS`` entries."""
+    return max(1, _BLOCK_CELLS // n)
+
+
 def _max_ratio(num: np.ndarray, den: np.ndarray, where) -> float:
     """Largest num/den over the cells selected by ``where`` (-inf if none);
     a zero denominator makes the result NaN."""
@@ -203,17 +209,20 @@ def _max_ratio(num: np.ndarray, den: np.ndarray, where) -> float:
     return float(np.max(ratio, where=where, initial=-np.inf))
 
 
-def _euclid(xs, ys, s, t) -> np.ndarray:
-    """The all-pairs Euclidean distances from the points s to the points t,
-    rows by columns (t an index array or a slice): ``np.sqrt(dx**2 +
-    dy**2)`` of dx = xs[s] - xs[t], the same floats for every caller."""
-    dx = xs[s, None] - xs[None, t]
-    dy = ys[s, None] - ys[None, t]
+def _norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``np.sqrt(dx**2 + dy**2)``, in place in dx: the same floats for every
+    caller."""
     # in place: dx * dx is dx**2, bit for bit
     dx *= dx
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
+
+
+def _euclid(xs, ys, s, t) -> np.ndarray:
+    """The Euclidean distances from the points s to the points t, index
+    arrays broadcast against each other."""
+    return _norm(xs[s] - xs[t], ys[s] - ys[t])
 
 
 def _every_row(g8, xs, ys, dt_u, dt_v) -> tuple[np.ndarray, float]:
@@ -224,62 +233,62 @@ def _every_row(g8, xs, ys, dt_u, dt_v) -> tuple[np.ndarray, float]:
     n = len(xs)
     d8 = _csgraph_dijkstra(g8, directed=True)
     upper = np.arange(1, n)[None, :] > np.arange(n)[:, None]
-    ed = _euclid(xs, ys, np.arange(n), slice(1, n))
+    ed = _euclid(xs, ys, np.arange(n)[:, None], np.arange(1, n)[None, :])
     return d8[dt_u, dt_v], _max_ratio(d8[:, 1:], ed, upper)
 
 
-def _settled(g8, sources, limits, row, col) -> np.ndarray:
-    """The spanner distance from sources[row[k]] to col[k], for each k, by
-    Dijkstra from the sources on g8, each bounded at no less than its own
-    limit: the sources run in order of limit, in groups whose limits lie
-    within a factor 2, each group bounded at its largest.  A source that
-    leaves one of its targets unsettled gets its full row."""
+def _grouped(g8, sources, limits, row, col) -> np.ndarray:
+    """``_settled`` without the full rows: Dijkstra from the sources in
+    order of limit, in groups of at most ``_rows(n)`` whose limits lie
+    within a factor 2, each group bounded at its largest; inf where a
+    target lies beyond."""
+    rows = _rows(g8.shape[0])
     out = np.empty(len(row))
     order = np.argsort(limits, kind="stable")
     ranked = limits[order]
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    # the pairs by the rank of their source, so that a group's are a run
-    pos = rank[row]
-    by = np.argsort(pos, kind="stable")
-    ranks = pos[by]
+    # the pairs by the rank of their source, so that a group's are a run,
+    # with the start of each rank's run
+    by = np.argsort(rank[row], kind="stable")
+    runs = np.cumsum(np.bincount(row, minlength=len(order))[order])
+    runs = np.concatenate([[0], runs])
     k = 0
     while k < len(order):
-        with np.errstate(over="ignore"):
-            end = max(k + 1, int(np.searchsorted(ranked, 2 * ranked[k], "right")))
-        d = _csgraph_dijkstra(
+        end = int(np.searchsorted(ranked, 2 * ranked[k], "right"))
+        end = min(max(k + 1, end), k + rows)
+        pairs = by[runs[k] : runs[end]]
+        # indexed at once, so that no group's rows outlive its call
+        out[pairs] = _csgraph_dijkstra(
             g8, directed=True, indices=sources[order[k:end]], limit=ranked[end - 1]
-        )
-        pairs = by[np.searchsorted(ranks, k) : np.searchsorted(ranks, end)]
-        out[pairs] = d[pos[pairs] - k, col[pairs]]
+        )[rank[row[pairs]] - k, col[pairs]]
         k = end
-    late = np.flatnonzero(np.isinf(out))
-    if len(late):
-        need, at = np.unique(row[late], return_inverse=True)
-        d = _csgraph_dijkstra(g8, directed=True, indices=sources[need])
-        out[late] = d[at, col[late]]
     return out
 
 
-def _edge_paths(g8, xs, ys, dt_u, dt_v, rows) -> np.ndarray:
-    """The spanner distance of each DT edge (dt_u[k], dt_v[k]), from the row
-    of its low end: Dijkstra from blocks of ``rows`` low ends, taken in
-    order of their longest edge, each bounded at ``_EDGE_REACH`` times its
-    own longest."""
-    n = len(xs)
-    bounds = np.searchsorted(dt_u, np.arange(n + 1))
-    ends = np.flatnonzero(np.diff(bounds))
-    with np.errstate(over="ignore"):
-        length = np.hypot(xs[dt_v] - xs[dt_u], ys[dt_v] - ys[dt_u])
-        reach = np.maximum.reduceat(length, bounds[ends]) * _EDGE_REACH
-    order = np.argsort(reach, kind="stable")
-    ends, reach = ends[order], reach[order]
-    path = np.empty(len(dt_u))
-    for k in range(0, len(ends), rows):
-        block = ends[k : k + rows]
-        row, e = _ragged(bounds[block], bounds[block + 1] - bounds[block])
-        path[e] = _settled(g8, block, reach[k : k + rows], row, dt_v[e])
-    return path
+def _settled(g8, sources, limits, row, col) -> np.ndarray:
+    """The spanner distance from sources[row[k]] to col[k], for each k, by
+    Dijkstra from the sources on g8, each bounded at no less than its own
+    limit (``_grouped``).  A source that leaves one of its targets
+    unsettled gets its full row, again at most ``_rows(n)`` sources a
+    call."""
+    out = _grouped(g8, sources, limits, row, col)
+    late = np.flatnonzero(np.isinf(out))
+    if len(late):
+        need, at = np.unique(row[late], return_inverse=True)
+        full = np.full(len(need), np.inf)
+        out[late] = _grouped(g8, sources[need], full, at, col[late])
+    return out
+
+
+def _edge_paths(g8, xs, ys, dt_u, dt_v) -> np.ndarray:
+    """The spanner distance of each DT edge (dt_u[k], dt_v[k]), dt_u
+    non-decreasing, from the row of its low end: one ``_settled`` over every
+    low end, each bounded at ``_EDGE_REACH`` times its own longest edge."""
+    ends, first, row = np.unique(dt_u, return_index=True, return_inverse=True)
+    length = np.hypot(xs[dt_v] - xs[dt_u], ys[dt_v] - ys[dt_u])
+    reach = np.maximum.reduceat(length, first) * _EDGE_REACH
+    return _settled(g8, ends, reach, row, dt_v)
 
 
 def _cells(xs, ys) -> list[np.ndarray]:
@@ -296,48 +305,117 @@ def _cells(xs, ys) -> list[np.ndarray]:
     return cells
 
 
+def _computed(g8, xs, ys, keys: list, worst: float) -> float:
+    """The compute pass: ``worst`` raised to the largest ratio of the pairs
+    lo * n + hi in ``keys``, each distance from one ``_settled`` over their
+    low ends, each bounded at worst (1 + _MARGIN) times its longest pair."""
+    if not sum(map(len, keys)):
+        return worst
+    lo = np.concatenate(keys)
+    lo.sort()
+    # int32 ends, and lo gone before the Dijkstra: the pass holds its
+    # pairs' arrays beside each call's rows
+    hi = (lo % len(xs)).astype(np.int32)
+    lo //= len(xs)
+    ed = _euclid(xs, ys, lo, hi)
+    # lo is non-decreasing: each source's pairs are one run
+    runs = np.flatnonzero(np.diff(lo, prepend=-1))
+    row = np.repeat(np.arange(len(runs), dtype=np.int32), np.diff(runs, append=len(lo)))
+    sources = lo[runs]
+    del lo
+    limits = worst * np.maximum.reduceat(ed, runs) * (1 + _MARGIN)
+    d = _settled(g8, sources, limits, row, hi)
+    return float(np.maximum(worst, _max_ratio(d, ed, True)))
+
+
 def _sweep(g8, xs, ys, rows, worst: float) -> float:
     """The largest ratio of spanner to Euclidean distance over all pairs (s,
     t), s < t, read from the row of s, given a lower bound ``worst`` that is
-    one pair's ratio: certify or compute, a cell of sources at a time.
+    one pair's ratio: a certify pass, then a compute pass.
 
-    Each cell's landmark a is its point nearest the cell's centroid, with
-    one full Dijkstra row r.  A pair of which s is in the cell is certified
-    when q[s] + q[t] < |st|, with q = r / (worst (1 - _MARGIN) / (1 +
-    _MARGIN)) + _FLOOR, for then its ratio cannot exceed ``worst``.  The
-    other pairs get one Dijkstra per block of ``rows`` sources, each source
-    bounded at worst (1 + _MARGIN) times its own longest |st|, and raise
-    ``worst``."""
+    Certify.  Each cell, in ``_cells`` order, has a landmark a, its point
+    nearest the cell's centroid, with one full Dijkstra row r, and q = r /
+    (worst (1 - _MARGIN) / (1 + _MARGIN)) + _FLOOR.  A pair is certified
+    when q[s] + q[t] < |st|, for then its ratio cannot exceed ``worst``;
+    the pair belongs to its ends' cells, the earlier one's landmark first.
+    For each block of at most ``rows`` sources of the cell and each cell B
+    from this one on, one test q[s] + max_B q < |s, box(B)| certifies every
+    pair (s, t in B) at once, with box(B) the bounding box of B and |s,
+    box(B)| the distance to s clamped into it.  Each clamped coordinate
+    difference is at most each member's in magnitude and rounding is
+    monotone, so the float box distance is at most each member's float
+    |st|, and fl(q[s] + q[t]) <= fl(q[s] + max_B q).  Only the (s, B) that
+    fail are tested pair by pair.  A pair that survives and has its other
+    end in a later cell waits, as the key lo * n + hi, for that cell's
+    landmark to test it again: the same walk bound, read from a full row
+    out of another vertex.  A pair neither landmark certifies is needed.
+
+    Compute.  The needed pairs, by lower id, get one ``_settled`` over
+    their low ends, each bounded at worst (1 + _MARGIN) times its longest
+    |st|, and raise ``worst``.  Once more than ``_BLOCK_CELLS`` pairs wait or
+    are needed, all of them are computed at once, the waiting ones without
+    their second test, so memory stays O(n).  ``worst`` only grows, so each
+    certificate holds for the final value, which is the largest computed
+    ratio, bit for bit."""
+    if worst != worst:
+        return worst  # a NaN ratio: the maximum is NaN
     n = len(xs)
-    for cell in _cells(xs, ys):
+    cells = _cells(xs, ys)
+    size = np.array([len(c) for c in cells])
+    start = np.cumsum(size) - size
+    members = np.concatenate(cells)
+    cell_of = np.empty(n, dtype=np.intp)
+    cell_of[members] = np.repeat(np.arange(len(cells)), size)
+    x0, x1, y0, y1 = (
+        f.reduceat(c[members], start)
+        for c in (xs, ys)
+        for f in (np.minimum, np.maximum)
+    )
+    waiting = [[] for _ in cells]
+    needed, held = [], 0
+    for b, cell in enumerate(cells):
         cx, cy = xs[cell].mean(), ys[cell].mean()
         a = cell[np.argmin((xs[cell] - cx) ** 2 + (ys[cell] - cy) ** 2)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = worst * (1 - _MARGIN) / (1 + _MARGIN)
-            q = _csgraph_dijkstra(g8, directed=True, indices=a) / scale + _FLOOR
+        scale = worst * (1 - _MARGIN) / (1 + _MARGIN)
+        q = _csgraph_dijkstra(g8, directed=True, indices=a) / scale + _FLOOR
+        if waiting[b]:
+            key = np.concatenate(waiting[b])
+            waiting[b] = []
+            lo, hi = np.divmod(key, n)
+            key = key[~(q[lo] + q[hi] < _euclid(xs, ys, lo, hi))]
+            needed.append(key)
+            held -= len(lo) - len(key)
+        q_max = np.maximum.reduceat(q[members], start)[b:]
         for k in range(0, len(cell), rows):
-            s = cell[k : k + rows]
-            first = s[0] + 1
-            ed = _euclid(xs, ys, s, slice(first, n))
-            with np.errstate(over="ignore", invalid="ignore"):
-                sure = np.add.outer(q[s], q[first:]) < ed
-            # only the pairs s < t are this block's
-            for i, m in enumerate((s - s[0]).tolist()):
-                sure[i, :m] = True
-            row, col = np.nonzero(~sure)
-            if not len(row):
-                continue
-            ed = ed[row, col]
-            need, row = np.unique(row, return_inverse=True)
-            # row is non-decreasing: each source's pairs are one run
-            runs = np.flatnonzero(np.diff(row, prepend=-1))
-            with np.errstate(over="ignore", invalid="ignore"):
-                limits = worst * np.maximum.reduceat(ed, runs) * (1 + _MARGIN)
-            d = _settled(g8, s[need], limits, row, col + first)
-            worst = float(np.maximum(worst, _max_ratio(d, ed, True)))
-            if worst != worst:
-                return worst  # a NaN ratio: the maximum is NaN
-    return worst
+            s = cell[k : k + rows, None]
+            box = _norm(
+                xs[s] - np.clip(xs[s], x0[b:], x1[b:]),
+                ys[s] - np.clip(ys[s], y0[b:], y1[b:]),
+            )
+            # by cell, so that each later cell's survivors are one run
+            j, i = np.nonzero(~(q[s] + q_max < box).T)
+            owner, slot = _ragged(start[b + j], size[b + j])
+            src, t = s[i[owner], 0], members[slot]
+            keep = ~(q[src] + q[t] < _euclid(xs, ys, src, t))
+            # in this cell only the pairs s < t are this block's
+            keep &= (j[owner] > 0) | (src < t)
+            src, t = src[keep], t[keep]
+            key = np.minimum(src, t) * n + np.maximum(src, t)
+            later = cell_of[t]
+            cut = np.flatnonzero(np.diff(later, prepend=b, append=-1))
+            # a copy, so that the block's array goes once its waiting runs do
+            needed.append(key[: cut[0]].copy())
+            for lo, hi in zip(cut[:-1].tolist(), cut[1:].tolist()):
+                waiting[later[lo]].append(key[lo:hi])
+            held += len(key)
+            if held > _BLOCK_CELLS:
+                needed += [w for ws in waiting for w in ws]
+                worst = _computed(g8, xs, ys, needed, worst)
+                waiting = [[] for _ in cells]
+                needed, held = [], 0
+                if worst != worst:
+                    return worst
+    return _computed(g8, xs, ys, needed, worst)
 
 
 def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
@@ -352,9 +430,16 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
       bounded near the edges (``_edge_paths``), and so the largest DT-edge
       ratio to the Euclidean distance, one pair's ratio, as the starting
       maximum M;
-    - the sweep (``_sweep``) certifies each other pair whose landmark bound
-      lies below M times its Euclidean distance, and computes the rest,
-      raising M.
+    - the sweep (``_sweep``) certifies whole cells of pairs at once by a box
+      test, then single pairs, from the landmark of either end's cell, each
+      when its bound lies below M times the Euclidean distance; one compute
+      pass gives the pairs neither landmark certifies and raises M.
+
+    The coordinates are first divided by the power of two that brings the
+    largest |coordinate| into [1/2, 1), so a set's scale alone cannot make a
+    distance overflow or underflow.  Where neither happened unscaled, the
+    division is exact and every float is the unscaled one times a power of
+    two; the path lengths are scaled back exactly.
 
     Every float is the one a full Dijkstra row from the pair's lower id
     gives.  Dijkstra's distance from s to v is the least float path length,
@@ -369,9 +454,11 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     at most about 1 + 3n 2**-53 (Higham, *Accuracy and Stability of
     Numerical Algorithms*, section 4.2).  With the certificate's own six
     roundings that stays below the margin's (1 + 1e-9) / (1 - 1e-9) up to n
-    of about 6 10**6.  M only grows, so a pair certified under an earlier M
-    stays below the final one, which is therefore the largest computed
-    ratio, bit for bit.
+    of about 6 10**6.  The argument holds for any landmark's full row, so
+    for the second cell's as for the first.  The box test only passes when
+    every pair of its cell would (see ``_sweep``).  M only grows, so a pair
+    certified under an earlier M stays below the final one, which is
+    therefore the largest computed ratio, bit for bit.
 
     ``all_pairs_max_ratio_vs_dt`` is ``max_edge_ratio``, so no Dijkstra runs
     on the triangulation. A DT shortest path between two vertices is a chain
@@ -387,22 +474,24 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     n = len(ps)
     if n < 2:
         return StretchReport({}, 1.0, 1.0, 1.0, connected=True)
-    xs, ys = ps.xs, ps.ys
+    # the largest |coordinate| scaled into [1/2, 1) by a power of two
+    e = int(np.frexp(max(np.abs(ps.xs).max(), np.abs(ps.ys).max()))[1])
+    xs, ys = np.ldexp(ps.xs, -e), np.ldexp(ps.ys, -e)
     (u, v), (cu, cv) = sel.edge_arrays
     g8 = _graph(xs, ys, np.concatenate([u, cu]), np.concatenate([v, cv]))
     if connected_components(g8, directed=False, return_labels=False) > 1:
         return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
     # u is non-decreasing in key order, so the edges at a low end are a slice
     dt_u, dt_v = np.divmod(T._keys, n)
-    rows = max(1, _BLOCK_CELLS // n)
+    rows = _rows(n)
     if rows >= n:
         path, vs_euclid = _every_row(g8, xs, ys, dt_u, dt_v)
     else:
-        path = _edge_paths(g8, xs, ys, dt_u, dt_v, rows)
-        with np.errstate(over="ignore"):
-            ed = np.sqrt((xs[dt_u] - xs[dt_v]) ** 2 + (ys[dt_u] - ys[dt_v]) ** 2)
+        path = _edge_paths(g8, xs, ys, dt_u, dt_v)
+        ed = _euclid(xs, ys, dt_u, dt_v)
         vs_euclid = _sweep(g8, xs, ys, rows, _max_ratio(path, ed, True))
-    ends = xs[dt_u], ys[dt_u], xs[dt_v], ys[dt_v]
+    path = np.ldexp(path, e)
+    ends = ps.xs[dt_u], ps.ys[dt_u], ps.xs[dt_v], ps.ys[dt_v]
     per_edge = {}
     max_edge_ratio = 1.0
     edges = zip(dt_u.tolist(), dt_v.tolist())

@@ -45,7 +45,7 @@ from d8span.analysis import (
     subgraph_audit,
     witness_path,
 )
-from d8span.builder import EdgeSelection, Provenance, construct_d8
+from d8span.builder import EdgeSelection, Provenance, construct_d8, select_edges
 from d8span.delaunay import (
     build_dt,
     canonical_subgraph,
@@ -411,6 +411,106 @@ def test_landmark_bound_inside_the_margin_is_computed(monkeypatch):
     assert worst == d[3, 5] / ed[3, 5]
     assert d[7, 3] / start + d[7, 5] / start < ed[3, 5]
     assert analysis._sweep(g, xs, ys, 8, start) == worst
+
+
+def _two_cells(monkeypatch):
+    """The path of the margin test, its points split into the cells
+    (0, 1, 3, 4) with landmark 1 and (2, 5, 6, 7) with landmark 7: the
+    spanner, the all-pairs distances and the dense maximum."""
+    xs = np.array([4.49, 3.09, 9.92, 0.88, 5.28, 2.23, 6.95, 4.71])
+    ys = np.array([8.53, 7.16, 7.61, 3.15, 1.56, 3.86, 0.37, 2.43])
+    chain = np.array([3, 1, 2, 0, 7, 4, 5, 6])
+    g = analysis._graph(xs, ys, chain[:-1], chain[1:])
+    cells = [np.array([0, 1, 3, 4]), np.array([2, 5, 6, 7])]
+    monkeypatch.setattr(analysis, "_cells", lambda xs, ys: cells)
+    for c, landmark in zip(cells, (1, 7)):
+        near = (xs[c] - xs[c].mean()) ** 2 + (ys[c] - ys[c].mean()) ** 2
+        assert c[np.argmin(near)] == landmark
+    d = dijkstra(g, directed=True)
+    ed = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
+    iu = np.triu_indices(8, 1)
+    return xs, ys, g, d, ed, float(np.max(d[iu] / ed[iu]))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_later_cell_landmark_certifies(monkeypatch, rows):
+    # the pairs (4, 6) and (4, 7) fail the certificate from landmark 1, of
+    # 4's cell, and pass it from landmark 7, of the other end's: the sweep
+    # never computes them, and still returns the dense maximum
+    xs, ys, g, d, ed, worst = _two_cells(monkeypatch)
+    m = (1 - analysis._MARGIN) / (1 + analysis._MARGIN)
+    q = {a: d[a] / (worst * m) + analysis._FLOOR for a in (1, 7)}
+    for s, t in [(4, 6), (4, 7)]:
+        assert not q[1][s] + q[1][t] < ed[s, t]
+        assert q[7][s] + q[7][t] < ed[s, t]
+    computed, settled = set(), analysis._settled
+
+    def spy(g8, sources, limits, row, col):
+        computed.update(zip(sources[row].tolist(), col.tolist()))
+        return settled(g8, sources, limits, row, col)
+
+    monkeypatch.setattr(analysis, "_settled", spy)
+    assert analysis._sweep(g, xs, ys, rows, worst) == worst
+    assert (3, 5) in computed
+    assert not computed & {(4, 6), (4, 7)}
+
+
+def test_later_cell_landmark_bound_inside_the_margin_is_computed(monkeypatch):
+    # the worst pair (3, 5) straddles the cells; landmark 7 lies on its path,
+    # so the later cell's bound is within an ulp of the pair's distance and,
+    # started an ulp below the maximum, passes without the margin
+    xs, ys, g, d, ed, worst = _two_cells(monkeypatch)
+    start = float(np.nextafter(worst, 0))
+    assert worst == d[3, 5] / ed[3, 5]
+    assert d[7, 3] / start + d[7, 5] / start < ed[3, 5]
+    assert analysis._sweep(g, xs, ys, 4, start) == worst
+
+
+@pytest.mark.parametrize("dist, seed", [("annulus", 0), ("uniform-square", 1)])
+def test_sweep_flushes_held_pairs_and_equals_dense(monkeypatch, dist, seed):
+    # blocks of one row and a hold of 800 pairs: the held pairs are computed
+    # several times over, the waiting ones without their second test
+    ps = generate(RunConfig(n=800, seed=seed, distribution=dist))
+    T, sel = construct_d8(ps)
+    passes, computed = [], analysis._computed
+
+    def spy(g8, xs, ys, keys, worst):
+        passes.append(sum(map(len, keys)))
+        return computed(g8, xs, ys, keys, worst)
+
+    monkeypatch.setattr(analysis, "_computed", spy)
+    monkeypatch.setattr(analysis, "_BLOCK_CELLS", 800)
+    s = stretch_vs_dt(T, sel)
+    d8, vs_dt, vs_euclid = _dense_stretch(ps, T, sel)
+    assert len(passes) > 2 and max(passes) > 800
+    assert (s.all_pairs_max_ratio_vs_dt, s.all_pairs_max_ratio_vs_euclid) == (
+        vs_dt, vs_euclid
+    )
+    assert {e: x.path_length for e, x in s.per_dt_edge.items()} == {
+        (u, v): float(d8[u, v]) for u, v in T.edges
+    }
+
+
+@pytest.mark.parametrize("exponent", [505, 515, 530, -560, -1000])
+@pytest.mark.parametrize("n", [50, 400])
+def test_stretch_of_a_scaled_set(n, exponent):
+    # an exact power-of-two scaling of the points: near the ends of the
+    # float range the squared distances would overflow (a false pass at
+    # 0.0) or underflow (NaN); the maxima are the unscaled ones and every
+    # path length the unscaled one times the factor
+    T = build_dt(generate(RunConfig(n, seed=1)))
+    sel = select_edges(T)
+    f = 2.0**exponent
+    ps = PointSet(T.points.xs * f, T.points.ys * f)
+    scaled = stretch_vs_dt(triangulation_from_triangles(ps, T._tri), sel)
+    base = stretch_vs_dt(T, sel)
+    def maxima(s):
+        return s.max_edge_ratio, s.all_pairs_max_ratio_vs_dt, s.all_pairs_max_ratio_vs_euclid
+
+    assert maxima(scaled) == maxima(base)
+    assert {e: x.path_length for e, x in scaled.per_dt_edge.items()} == {
+        e: x.path_length * f for e, x in base.per_dt_edge.items()
+    }
 
 
 @pytest.mark.parametrize("cells", [1 << 20, 7 * 60], ids=["one-block", "landmark"])
