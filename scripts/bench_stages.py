@@ -7,10 +7,12 @@ For each n, a fresh process generates ``RunConfig(n, seed=1)`` (uniform
 square), then times ``construct_d8``, ``run_audits(with_stretch=False)`` and
 ``stretch_vs_dt``, and the stages inside them through wrappers put on the
 module attributes they are called by.  The completion is ``select_edges``
-minus ``sort_edges`` and ``add_incident``.  Peak RSS is read after the
-structural audits and again after the stretch audit.  Last, the CLI's
-``audit`` (construction, every audit, the report) runs on the same points in
-a child process, for its wall time and peak RSS.
+minus ``sort_edges`` and ``add_incident``.  The stretch maxima and verdict
+are recorded too, so that runs of two trees can be checked for equal
+figures.  Peak RSS is read after the structural audits and again after the
+stretch audit.  Last, the CLI's ``audit`` (construction, every audit, the
+report) runs on the same points in a child process, for its wall time and
+peak RSS.
 
 Writes ``BENCH_<label>.json`` into ``--out`` (default: the current
 directory) and prints it.  Times vary with the machine and its load: compare
@@ -88,7 +90,7 @@ def measure(n: int) -> dict:
     analysis.run_audits(T, sel, with_stretch=False)
     t3 = clock()
     rss_audits = peak_rss_mb()
-    analysis.stretch_vs_dt(T, sel)
+    stretch = analysis.stretch_vs_dt(T, sel)
     t4 = clock()
     rss_stretch = peak_rss_mb()
     out = {
@@ -122,6 +124,11 @@ def measure(n: int) -> dict:
         "n": n,
         "seconds": {k: round(v, 4) for k, v in out.items()},
         "cli_audit_s": round(cli_s, 3),
+        "stretch": {
+            "max_edge_ratio": stretch.max_edge_ratio,
+            "all_pairs_max_ratio_vs_euclid": stretch.all_pairs_max_ratio_vs_euclid,
+            "ok": stretch.ok,
+        },
         "peak_rss_mb": {
             "after_audits": round(rss_audits, 1),
             "after_stretch": round(rss_stretch, 1),
@@ -155,6 +162,8 @@ def main(argv=None) -> int:
         return 0
     if not args.label:
         ap.error("--label is required")
+    if not Path(args.out).is_dir():
+        ap.error(f"--out {args.out!r} is not a directory")
     runs = []
     for n in args.sizes:
         child = subprocess.run(

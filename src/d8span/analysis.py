@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,9 +30,10 @@ from .delaunay import (
     extremal_ends,
 )
 from .geometry import (
+    CONE_BISECTORS,
+    TAN30,
     PointSet,
     bisector_distance,
-    canonical_corners,
     cone_index,
     euclid,
 )
@@ -55,6 +57,12 @@ BOUND_RTOL = 1e-9
 # Shortest paths
 
 
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each (dx[k], dy[k]): the floats ``euclid`` and
+    ``math.dist`` give."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), np.float64, len(dx))
+
+
 def _graph(xs: np.ndarray, ys: np.ndarray, u: np.ndarray, v: np.ndarray) -> csr_matrix:
     """Symmetric sparse n x n adjacency over the edges (u[k], v[k]) of the
     points (xs, ys) with Euclidean weights: each pair once whichever way
@@ -64,10 +72,10 @@ def _graph(xs: np.ndarray, ys: np.ndarray, u: np.ndarray, v: np.ndarray) -> csr_
     lo, hi = lo[lo < hi], hi[lo < hi]
     with np.errstate(over="ignore"):
         dx, dy = xs[hi] - xs[lo], ys[hi] - ys[lo]
-    # math.hypot, as euclid computes it
-    w = list(map(math.hypot, dx.tolist(), dy.tolist()))
+    w = _hypot(dx, dy)
     return csr_matrix(
-        (w + w, (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n)
+        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(n, n),
     )
 
 
@@ -138,22 +146,91 @@ class EdgeStretch:
     canonical_bound: float
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class StretchReport:
-    per_dt_edge: dict[tuple[int, int], EdgeStretch]
+    """The stretch figures, the per-edge ones held as arrays.
+
+    ``ends`` holds the DT edges (u, v) as two int arrays; ``path``,
+    ``euclidean`` and ``canonical_bound`` hold each edge's spanner path
+    length, Euclidean length and canonical bound as float64 arrays, in units
+    of 2**``exponent``: the frame ``stretch_vs_dt`` computes them in, where
+    no distance overflows or underflows.  ``ok`` runs its per-edge gates in
+    that frame.  Each edge's Euclidean bound is ``STRETCH_BOUND`` times its
+    Euclidean length.
+
+    ``per_dt_edge`` is a view built on first use, the figures scaled back by
+    ``np.ldexp``.  ``StretchReport(per_dt_edge, ...)`` assembles one from a
+    dict of ``EdgeStretch``, which is then its view; ``stretch_vs_dt``
+    assembles one from arrays."""
+
     max_edge_ratio: float
     all_pairs_max_ratio_vs_dt: float
     all_pairs_max_ratio_vs_euclid: float
     connected: bool
+    ends: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    path: np.ndarray = field(repr=False)
+    euclidean: np.ndarray = field(repr=False)
+    canonical_bound: np.ndarray = field(repr=False)
+    exponent: int = field(repr=False)
+
+    def __init__(
+        self,
+        per_dt_edge: dict[tuple[int, int], EdgeStretch],
+        max_edge_ratio: float,
+        all_pairs_max_ratio_vs_dt: float,
+        all_pairs_max_ratio_vs_euclid: float,
+        connected: bool,
+    ):
+        rows = [
+            (s.path_length, s.euclidean, s.canonical_bound) for s in per_dt_edge.values()
+        ]
+        figures = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+        self._assemble(
+            edge_arrays(per_dt_edge), *figures, 0,
+            (max_edge_ratio, all_pairs_max_ratio_vs_dt, all_pairs_max_ratio_vs_euclid),
+            connected,
+        )
+        self.__dict__["per_dt_edge"] = per_dt_edge
+
+    @classmethod
+    def _from_arrays(cls, ends, path, euclidean, canonical_bound, exponent, maxima):
+        s = cls.__new__(cls)
+        s._assemble(ends, path, euclidean, canonical_bound, exponent, maxima, True)
+        return s
+
+    def _assemble(
+        self, ends, path, euclidean, canonical_bound, exponent, maxima, connected
+    ) -> None:
+        for a in (*ends, path, euclidean, canonical_bound):
+            a.flags.writeable = False
+        self.ends, self.path, self.exponent = ends, path, exponent
+        self.euclidean, self.canonical_bound = euclidean, canonical_bound
+        (self.max_edge_ratio, self.all_pairs_max_ratio_vs_dt,
+         self.all_pairs_max_ratio_vs_euclid) = maxima
+        self.connected = connected
+
+    @cached_property
+    def per_dt_edge(self) -> dict[tuple[int, int], EdgeStretch]:
+        # a figure beyond the float range reads inf
+        with np.errstate(over="ignore"):
+            path, d, canon = (
+                np.ldexp(a, self.exponent)
+                for a in (self.path, self.euclidean, self.canonical_bound)
+            )
+            figures = path, d, STRETCH_BOUND * d, canon
+        edges = zip(*(c.tolist() for c in self.ends))
+        return dict(zip(edges, map(EdgeStretch, *(f.tolist() for f in figures))))
 
     @property
     def ok(self) -> bool:
         if not self.connected:
             return False
-        for e, s in self.per_dt_edge.items():
-            if s.path_length > s.canonical_bound * (1 + BOUND_RTOL):
+        path, d, canon = self.path, self.euclidean, self.canonical_bound
+        # a NaN figure passes its gate, as it fails no comparison
+        with np.errstate(over="ignore"):
+            if (path > canon * (1 + BOUND_RTOL)).any():
                 return False
-            if s.canonical_bound > s.euclid_bound * (1 + BOUND_RTOL):
+            if (canon > STRETCH_BOUND * d * (1 + BOUND_RTOL)).any():
                 return False
         return (
             self.all_pairs_max_ratio_vs_dt <= STRETCH_BOUND + BOUND_RTOL
@@ -165,17 +242,26 @@ class StretchReport:
 def canonical_bound(ps: PointSet, p: int, q: int) -> float:
     """max{|pa| + (theta/sin theta)|aq|, |pb| + (theta/sin theta)|bq|} over
     the corners a, b of the canonical triangle of (p, q)."""
-    a, b = ps[p], ps[q]
-    return _canonical_bound(a.x, a.y, b.x, b.y, cone_index(a, b))
+    u, v = np.array([p]), np.array([q])
+    cone = np.array([cone_index(ps[p], ps[q])])
+    return float(_canonical_bounds(ps.xs, ps.ys, u, v, cone)[0])
 
 
-def _canonical_bound(px: float, py: float, qx: float, qy: float, i: int) -> float:
-    """``canonical_bound`` of the points (px, py) and (qx, qy), the second in
-    cone i of the first."""
-    _, a, b = canonical_corners(px, py, qx, qy, i)
-    pa, pb = math.dist((px, py), a), math.dist((px, py), b)
-    aq, bq = math.dist(a, (qx, qy)), math.dist(b, (qx, qy))
-    return max(pa + PATH_FACTOR * aq, pb + PATH_FACTOR * bq)
+def _canonical_bounds(xs, ys, u, v, cone) -> np.ndarray:
+    """``canonical_bound`` of each pair (u[k], v[k]) of the points (xs, ys),
+    v[k] in cone cone[k] of u[k]: the arithmetic of ``canonical_corners``
+    and ``math.dist``, elementwise in the same order."""
+    px, py, qx, qy = xs[u], ys[u], xs[v], ys[v]
+    ux, uy = np.array(CONE_BISECTORS)[cone].T
+    # left of the bisector direction is the rotated vector (-uy, ux)
+    lx, ly = -uy, ux
+    h = (qx - px) * ux + (qy - py) * uy
+    ax, ay = px + h * (ux + TAN30 * lx), py + h * (uy + TAN30 * ly)
+    bx, by = px + h * (ux - TAN30 * lx), py + h * (uy - TAN30 * ly)
+    via_a = _hypot(px - ax, py - ay) + PATH_FACTOR * _hypot(ax - qx, ay - qy)
+    via_b = _hypot(px - bx, py - by) + PATH_FACTOR * _hypot(bx - qx, by - qy)
+    # max(via_a, via_b): via_a unless via_b is greater
+    return np.where(via_b > via_a, via_b, via_a)
 
 
 #: Cells per block of source rows in ``stretch_vs_dt``: each array of a block
@@ -439,7 +525,9 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     largest |coordinate| into [1/2, 1), so a set's scale alone cannot make a
     distance overflow or underflow.  Where neither happened unscaled, the
     division is exact and every float is the unscaled one times a power of
-    two; the path lengths are scaled back exactly.
+    two.  The per-edge figures (path length, Euclidean length by
+    ``math.hypot``, canonical bound) and their gates stay in that frame, and
+    the report holds the exponent that scales them back.
 
     Every float is the one a full Dijkstra row from the pair's lower id
     gives.  Dijkstra's distance from s to v is the least float path length,
@@ -490,29 +578,13 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
         path = _edge_paths(g8, xs, ys, dt_u, dt_v)
         ed = _euclid(xs, ys, dt_u, dt_v)
         vs_euclid = _sweep(g8, xs, ys, rows, _max_ratio(path, ed, True))
-    path = np.ldexp(path, e)
-    ends = ps.xs[dt_u], ps.ys[dt_u], ps.xs[dt_v], ps.ys[dt_v]
-    per_edge = {}
-    max_edge_ratio = 1.0
-    edges = zip(dt_u.tolist(), dt_v.tolist())
-    for e, i, length, px, py, qx, qy in zip(
-        edges, T._cone.tolist(), path.tolist(), *(c.tolist() for c in ends)
-    ):
-        d = math.hypot(qx - px, qy - py)
-        per_edge[e] = EdgeStretch(
-            path_length=length,
-            euclidean=d,
-            euclid_bound=STRETCH_BOUND * d,
-            canonical_bound=_canonical_bound(px, py, qx, qy, i),
-        )
-        if d > 0:
-            max_edge_ratio = max(max_edge_ratio, length / d)
-    return StretchReport(
-        per_dt_edge=per_edge,
-        max_edge_ratio=max_edge_ratio,
-        all_pairs_max_ratio_vs_dt=max_edge_ratio,
-        all_pairs_max_ratio_vs_euclid=vs_euclid,
-        connected=True,
+    d = _hypot(xs[dt_v] - xs[dt_u], ys[dt_v] - ys[dt_u])
+    bound = _canonical_bounds(xs, ys, dt_u, dt_v, T._cone)
+    # max over the edges of length / d from 1.0, as Python's max folds it:
+    # fmax skips a NaN ratio
+    max_edge_ratio = float(np.fmax.reduce(path[d > 0] / d[d > 0], initial=1.0))
+    return StretchReport._from_arrays(
+        (dt_u, dt_v), path, d, bound, e, (max_edge_ratio, max_edge_ratio, vs_euclid)
     )
 
 

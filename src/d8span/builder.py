@@ -45,7 +45,8 @@ def sort_edges(T: Triangulation) -> SortedEdges:
     with np.errstate(over="ignore"):
         dx, dy = xs[v] - xs[u], ys[v] - ys[u]
         length = dx * ux + dy * uy
-    order = np.lexsort((v, u, length))
+    # the keys are sorted, so a stable sort breaks ties on (u, v)
+    order = np.argsort(length, kind="stable")
     return SortedEdges(u[order], v[order], cone[order], length[order])
 
 

@@ -110,7 +110,7 @@ def _cmd_stretch(args) -> int:
     s = stretch_vs_dt(T, sel)
     doc = {
         "connected": s.connected,
-        "dt_edges": len(s.per_dt_edge),
+        "dt_edges": len(s.path),
         "max_per_edge_ratio": s.max_edge_ratio,
         "max_edge_ratio_vs_euclid_bound_ok": s.ok,
         "all_pairs_max_ratio_vs_dt": s.all_pairs_max_ratio_vs_dt,

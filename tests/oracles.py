@@ -14,6 +14,8 @@ degree and subgraph audits as Python loops over the selection, and
 ``set_degree_audit`` the degree audit on a set difference of the selection's
 tuples.  ``shared_triangles`` is the shared-triangle audit as a scan of the
 triangles that classifies each corner's cones itself.
+``reference_canonical_bound`` is one pair's canonical bound as it ran before
+the stretch audit moved to arrays, on Python floats.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from d8span.analysis import AuditVerdict, _angle
+from d8span.analysis import PATH_FACTOR, AuditVerdict, _angle
 from d8span.builder import EdgeSelection, Provenance, e_a_occupant
 from d8span.delaunay import (
     CanonicalSubgraph,
@@ -39,6 +41,7 @@ from d8span.geometry import (
     Violation,
     bisector_distance,
     bisector_in_cone,
+    canonical_corners,
     cone_index,
     cone_index_dir,
     cone_indices,
@@ -482,3 +485,13 @@ def reference_subgraph_audit(T, sel) -> dict:
     per selected pair."""
     offenders = [e for e in sel.d8_edges if e not in T.edges]
     return {"passed": not offenders, "non_dt_edges": offenders}
+
+
+def reference_canonical_bound(px: float, py: float, qx: float, qy: float, i: int) -> float:
+    """The canonical bound of the points (px, py) and (qx, qy), the second in
+    cone i of the first: the larger of the two paths through a corner of the
+    canonical triangle, one ``math.dist`` per side."""
+    _, a, b = canonical_corners(px, py, qx, qy, i)
+    pa, pb = math.dist((px, py), a), math.dist((px, py), b)
+    aq, bq = math.dist(a, (qx, qy)), math.dist(b, (qx, qy))
+    return max(pa + PATH_FACTOR * aq, pb + PATH_FACTOR * bq)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import multiprocessing
 import os
@@ -9,12 +10,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from conftest import arc_fan, random_points
 from oracles import (
     crossings,
+    reference_canonical_bound,
     reference_degree_audit,
     reference_subgraph_audit,
     reference_subgraph_lemmas,
@@ -22,7 +26,7 @@ from oracles import (
     shared_triangles,
     wedge_angles,
 )
-from d8span import analysis, delaunay
+from d8span import analysis, cli, delaunay
 from d8span.analysis import (
     BOUND_RTOL,
     DT_STRETCH,
@@ -52,8 +56,14 @@ from d8span.delaunay import (
     edge_key,
     triangulation_from_triangles,
 )
-from d8span.geometry import PointSet, canonical_triangle, cone_index, euclid
-from d8span.pointio import RunConfig, generate
+from d8span.geometry import (
+    PointSet,
+    canonical_triangle,
+    cone_index,
+    cone_index_dir,
+    euclid,
+)
+from d8span.pointio import RunConfig, generate, save_points
 from d8span.report import report_json
 
 
@@ -120,13 +130,29 @@ def test_selection_is_frozen_and_converts_once(small_instance):
     assert hand.e_a == sel.e_a and hand.e_can == sel.e_can
 
 
-def test_pipeline_builds_no_views():
-    # construction, the structural audits and the report run on the arrays
+def test_pipeline_builds_no_views(monkeypatch, tmp_path):
+    # construction, every audit, the report and the CLI's stretch command run
+    # on the arrays
     ps = generate(RunConfig(n=300, seed=3))
     T, sel = construct_d8(ps)
     report_json(run_audits(T, sel, with_stretch=False))
+    report = run_audits(T, sel, with_stretch=True)
+    report_json(report)
     assert not {"edges", "triangles", "_by_key"} & set(vars(T))
     assert not {"e_a", "e_can", "d8_edges", "provenance"} & set(vars(sel))
+    reports = []
+
+    def spy(T, sel):
+        reports.append(stretch_vs_dt(T, sel))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "stretch_vs_dt", spy)
+    save_points(ps, tmp_path / "points.txt")
+    out = tmp_path / "stretch.json"
+    assert cli.main(["stretch", "--in", str(tmp_path / "points.txt"), "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["dt_edges"] == len(T._keys)
+    for s in (report.stretch, *reports):
+        assert "per_dt_edge" not in vars(s)
 
 
 def _selection_with_reversed_pairs():
@@ -491,13 +517,15 @@ def test_sweep_flushes_held_pairs_and_equals_dense(monkeypatch, dist, seed):
     }
 
 
-@pytest.mark.parametrize("exponent", [505, 515, 530, -560, -1000])
+@pytest.mark.parametrize("exponent", [505, 515, 530, 1014, -560, -1000])
 @pytest.mark.parametrize("n", [50, 400])
 def test_stretch_of_a_scaled_set(n, exponent):
     # an exact power-of-two scaling of the points: near the ends of the
     # float range the squared distances would overflow (a false pass at
-    # 0.0) or underflow (NaN); the maxima are the unscaled ones and every
-    # path length the unscaled one times the factor
+    # 0.0) or underflow (NaN), and at 2**1014 a canonical bound would
+    # overflow (a false failure); the maxima and the verdict are the
+    # unscaled ones and every path length the unscaled one times the
+    # factor, which may read inf without a warning
     T = build_dt(generate(RunConfig(n, seed=1)))
     sel = select_edges(T)
     f = 2.0**exponent
@@ -508,6 +536,7 @@ def test_stretch_of_a_scaled_set(n, exponent):
         return s.max_edge_ratio, s.all_pairs_max_ratio_vs_dt, s.all_pairs_max_ratio_vs_euclid
 
     assert maxima(scaled) == maxima(base)
+    assert scaled.ok and base.ok
     assert {e: x.path_length for e, x in scaled.per_dt_edge.items()} == {
         e: x.path_length * f for e, x in base.per_dt_edge.items()
     }
@@ -606,6 +635,27 @@ def test_stretch_headline_gate():
     assert report(4.4).ok
     assert not report(4.5).ok
     assert not report(math.nan).ok
+
+
+_coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(st.tuples(_coord, _coord, _coord, _coord), min_size=1, max_size=8),
+    st.integers(min_value=-1000, max_value=1000),
+)
+@settings(max_examples=300, deadline=None)
+def test_canonical_bounds_equal_the_scalar_reference(pairs, k):
+    # the array pass does the scalar's arithmetic, bit for bit, at any scale
+    # where nothing overflows
+    xy = np.array(pairs).reshape(-1, 2, 2) * 2.0**k
+    dx, dy = (xy[:, 1] - xy[:, 0]).T
+    assume(((dx != 0) | (dy != 0)).all())
+    cone = np.array([cone_index_dir(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
+    u = np.arange(0, 2 * len(xy), 2)
+    got = analysis._canonical_bounds(xy[..., 0].ravel(), xy[..., 1].ravel(), u, u + 1, cone)
+    (px, py), (qx, qy) = xy[:, 0].T.tolist(), xy[:, 1].T.tolist()
+    assert got.tolist() == list(map(reference_canonical_bound, px, py, qx, qy, cone.tolist()))
 
 
 def test_canonical_bound_symmetric_on_bisector():

@@ -75,6 +75,22 @@ def test_sorted_edges_exact_tie_broken_on_ids():
     _assert_reference_order(PointSet.from_pairs([(0, 0), (5, 0.5), (5, 1.5), (0, 1)]))
 
 
+def test_sorted_edges_many_exact_ties_in_lexsort_order():
+    # a ladder, its ids shuffled: its 21 edges have two bisector lengths,
+    # 1 for the rails and one float for every rung, and the stable sort on
+    # length alone gives the order of the full (length, u, v) sort
+    pts = [(0.0, k) for k in range(6)] + [(5.0, k + 0.5) for k in range(6)]
+    perm = np.random.default_rng(0).permutation(len(pts))
+    T = build_dt(PointSet.from_pairs([pts[i] for i in perm]))
+    L = sort_edges(T)
+    u, v = np.divmod(T._keys, len(pts))
+    length = np.array([bisector_distance(T.points[a], T.points[b]) for a, b in zip(u, v)])
+    assert len(np.unique(length)) == 2
+    order = np.lexsort((v, u, length))
+    assert (L.u.tolist(), L.v.tolist()) == (u[order].tolist(), v[order].tolist())
+    assert L.length.tolist() == length[order].tolist()
+
+
 def _add_incident_reference(T):
     """Independent literal re-execution of the greedy scan, using its own
     angle-based cone classification."""

@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import subprocess
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -377,3 +380,30 @@ def test_cli_degenerate_input_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: point set violates general position: slope(0, 1)")
     assert err.count("slope(") == 10
+
+
+def _bench_stages():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_stages.py"
+    spec = importlib.util.spec_from_file_location("bench_stages", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("target", ["missing", "file"])
+def test_bench_stages_checks_out_before_running(monkeypatch, tmp_path, capsys, target):
+    # an --out that is no directory is a usage error, found before any size
+    # runs
+    bench = _bench_stages()
+    out = tmp_path / target
+    if target == "file":
+        out.write_text("")
+
+    def child(*args, **kwargs):
+        raise AssertionError("a size ran before --out was checked")
+
+    monkeypatch.setattr(subprocess, "run", child)
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--label", "t", "--sizes", "500", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "is not a directory" in capsys.readouterr().err
