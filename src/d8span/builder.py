@@ -13,6 +13,7 @@ import numpy as np
 from .delaunay import (
     ConstructionError,
     Triangulation,
+    _ragged,
     build_dt,
     canonical_subgraph,
     canonical_subgraphs,
@@ -72,18 +73,52 @@ def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
     into cone i+3.  At most one accepted edge per vertex-cone pair, hence
     degree at most 6.
 
-    The scan runs on Python ints, with ``occupant`` a C int array.
+    The scan is a greedy matching on the slots 6p + i, and it runs in
+    rounds of locally dominant edges (Preis, STACS 1999; Manne and
+    Bisseling, PPAM 2007).  Sorted edge k holds the slots 6p + i and
+    6q + (i + 3) % 6.  A round accepts every live edge whose k is the least
+    live k at both of its slots, then drops every live edge that touches a
+    filled slot.  Each drop is the scan's rejection: the edge that filled
+    the slot was the least live k there, so it comes earlier.  Each
+    acceptance is the scan's too: every earlier edge at its slots is dead,
+    and by induction the scan rejected it.  A round accepts at least the
+    earliest live edge.  Once a round removes fewer than half of the live
+    edges, ``_scan`` finishes the rest in order: no accepted edge shares a
+    slot with one still live, so ``occupant`` holds what the scan would.
     """
-    n = len(T.points)
+    n, m = len(T.points), len(L.u)
     occupant = array("i", [-1]) * (6 * n)
-    taken: list[int] = []
-    for k, (p, q, i) in enumerate(zip(L.u.tolist(), L.v.tolist(), L.cone.tolist())):
-        sp, sq = 6 * p + i, 6 * q + (i + 3) % 6
+    occ = np.frombuffer(occupant, dtype=np.intc)
+    a = (6 * L.u + L.cone).astype(np.intc)
+    b = (6 * L.v + (L.cone + 3) % 6).astype(np.intc)
+    least = np.full(6 * n, m, dtype=np.intc)
+    live = np.arange(m, dtype=np.intc)
+    while len(live):
+        sa, sb = a[live], b[live]
+        least[sa] = least[sb] = m
+        np.minimum.at(least, sa, live)
+        np.minimum.at(least, sb, live)
+        win = (least[sa] == live) & (least[sb] == live)
+        k = live[win]
+        occ[a[k]], occ[b[k]] = L.v[k], L.u[k]
+        rest = live[(occ[sa] < 0) & (occ[sb] < 0)]
+        done = 2 * len(rest) > len(live)
+        live = rest
+        if done:
+            break
+    _scan(occupant, live, a, b, L)
+    u, v, _ = _accepted(L, occupant)
+    return IncidentEdges(np.stack([u, v], axis=1), occupant)
+
+
+def _scan(occupant: array, rows: np.ndarray, a, b, L: SortedEdges) -> None:
+    """The greedy scan over the given rows of L, in order, with their slots
+    a and b, on Python ints: it fills ``occupant`` for each edge it accepts."""
+    columns = (a[rows], b[rows], L.u[rows], L.v[rows])
+    for sp, sq, p, q in zip(*(c.tolist() for c in columns)):
         if occupant[sp] < 0 and occupant[sq] < 0:
-            taken.append(k)
             occupant[sp] = q
             occupant[sq] = p
-    return IncidentEdges(np.stack([L.u[taken], L.v[taken]], axis=1), occupant)
 
 
 @dataclass(frozen=True)
@@ -309,25 +344,36 @@ def _completion(T, occupant, b, pick: np.ndarray) -> Events:
     apex, anchor = b.p[row], b.r[row]
     later = step >= 2
     end, cone = np.where(later, t, -1), np.where(later, j, np.int8(-1))
-    # step 4c reads a cone for its few events
-    for k in np.flatnonzero(step == 4).tolist():
-        s[k], t[k] = _step_4c(
-            T, int(apex[k]), int(anchor[k]), int(s[k]), int(t[k]), int(j[k])
-        )
+    # Step 4c: the canonical edge of z in cone j with end y.  It is at the
+    # slot before y's in group 6z + j or at y's own, and exactly one of the
+    # two must be canonical; the first event where that fails raises.
+    k = np.flatnonzero(step == 4)
+    if len(k):
+        start = np.frombuffer(T._start, dtype=np.intc)
+        canon = np.frombuffer(T._canon, dtype=np.bool_)
+        g = 6 * t[k] + j[k]
+        lo = start[g]
+        owner, slot = _ragged(lo, start[g + 1] - lo)
+        at = slot[nbr[slot] == s[k][owner]]
+        before = (at > lo) & canon[at - 1]
+        bad = before == canon[at]
+        if bad.any():
+            f = int(k[np.argmax(bad)])
+            raise _step_4c_error(T, *(int(x[f]) for x in (apex, anchor, s, t, j)))
+        t[k] = nbr[np.where(before, at - 1, at + 1)]
     return Events(np.minimum(s, t), np.maximum(s, t), step, apex, anchor, end, cone)
 
 
-def _step_4c(T, p: int, r: int, y: int, z: int, cone: int) -> tuple[int, int]:
-    """The canonical edge of z in the given cone with endpoint y."""
+def _step_4c_error(T, p: int, r: int, y: int, z: int, cone: int) -> ConstructionError:
+    """The error of a step 4c event for the selected edge (p, r) that finds
+    other than one canonical edge of z in the given cone with endpoint y."""
     candidates = [e for e in cone_neighbourhood(T, z, cone).canonical_edges if y in e]
-    if len(candidates) != 1:
-        vertices = canonical_subgraph(T, p, r).vertices
-        raise ConstructionError(
-            f"expected exactly one canonical edge of {z} with endpoint "
-            f"{y} in cone {cone}; found {candidates} "
-            f"(apex {p}, anchor {r}, subgraph {vertices})"
-        )
-    return candidates[0]
+    vertices = canonical_subgraph(T, p, r).vertices
+    return ConstructionError(
+        f"expected exactly one canonical edge of {z} with endpoint "
+        f"{y} in cone {cone}; found {candidates} "
+        f"(apex {p}, anchor {r}, subgraph {vertices})"
+    )
 
 
 def _accepted(L: SortedEdges, occupant: array) -> tuple[np.ndarray, ...]:

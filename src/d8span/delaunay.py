@@ -82,13 +82,14 @@ class Triangulation:
         return T
 
     def _assemble(self, points, keys, tri) -> None:
-        nbr, start, cone = _cone_table(points, keys)
-        canon = _canonical_mask(tri, nbr, start)
+        nbr, start, cone, at = _cone_table(points, keys)
+        canon = _canonical_mask(tri, keys, cone, at, len(points))
+        del at
         for a in (keys, cone, tri):
             a.flags.writeable = False
         state = {
             "points": points, "_keys": keys, "_cone": cone, "_tri": tri,
-            "_nbr": array("i", nbr.astype(np.intc).tobytes()),
+            "_nbr": array("i", nbr.tobytes()),
             "_start": array("i", start.astype(np.intc).tobytes()),
             "_canon": canon.tobytes(),
         }
@@ -140,31 +141,39 @@ def _edge_keys(tri: np.ndarray, n: int) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-#: Oriented edges classified per block in ``_cone_table`` and
-#: ``_canonical_mask``, so that the temporaries stay small.
-_CLASSIFY_BLOCK = 1 << 14
+#: Oriented edges classified per block in ``_cone_table``, and triangles
+#: per block in ``_canonical_mask``, so that the temporaries stay small.
+_CLASSIFY_BLOCK = 1 << 13
 
 
 def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Classify each edge (u, v) of key u * n + v once, and group the far
     ends of the oriented edges by (vertex, cone), clockwise within a group;
-    returns the groups, their starts and the cone of u holding v per key.
+    returns the groups, their starts, the cone of u holding v per key, and
+    ``at``, the table slot of each oriented edge: ``at[k]`` of (u, v) of key
+    k, ``at[len(keys) + k]`` of (v, u).
 
-    A float key, the tangent of the clockwise angle from the cone's
-    bisector, orders the groups; exact ``orient`` then checks each
-    consecutive pair.  A cone spans 60 degrees, so orientation orders a
-    group totally, and a group is re-sorted by it only when a pair fails.
+    One float sort orders the table: the group 6p + i plus a fraction in
+    [0.26, 0.74], 0.5 + 0.4 t with the turn t (the tangent of the clockwise
+    angle from the cone's bisector) clipped to [-0.6, 0.6], and NaN and
+    infinities clamped into it.  While 6n < 2**51 the rounded sum stays
+    within its group, so the groups are contiguous; rounding is monotone,
+    so two turns are never inverted, only near-equal ones merged.  Exact
+    ``orient`` then checks each consecutive pair.  A cone spans 60 degrees,
+    so orientation orders a group totally, and a group is re-sorted by it,
+    with its slots, when a pair fails: the table is the exact clockwise
+    order whatever the float key merged.
 
     The reverse half-edge (v, u) takes the opposite cone and the same key,
     as classifying it would: its differences and the opposite bisector are
     exact negations, so its steepness test and the key's products see the
     same floats, up to the sign of a zero."""
-    n = len(ps)
+    n, m = len(ps), len(keys)
     u, v = np.divmod(keys, n)
     xs, ys = ps.xs, ps.ys
-    cone = np.empty(len(keys), dtype=np.int8)
-    turn = np.empty(len(keys))
-    for k in range(0, len(keys), _CLASSIFY_BLOCK):
+    cone = np.empty(m, dtype=np.int8)
+    turn = np.empty(m)
+    for k in range(0, m, _CLASSIFY_BLOCK):
         block = slice(k, k + _CLASSIFY_BLOCK)
         s, d = u[block], v[block]
         with np.errstate(all="ignore"):
@@ -172,13 +181,17 @@ def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, ...]:
             cone[block] = c = cone_indices(dx, dy)
             ux, uy = np.array(CONE_BISECTORS)[c].T
             turn[block] = (dx * uy - dy * ux) / (dx * ux + dy * uy)
-    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    # fmin and fmax take a NaN to the bound
+    turn = 0.5 + 0.4 * np.fmax(np.fmin(turn, 0.6), -0.6)
+    key = np.concatenate([6 * u + cone, 6 * v + (cone + 3) % 6], dtype=np.float64)
+    key[:m] += turn
+    key[m:] += turn
+    del turn
+    slot = np.argsort(key).astype(np.intc)
+    group = key[slot].astype(np.intp)
+    del key
+    nbr = np.concatenate([v, u]).astype(np.intc)[slot]
     del u, v
-    group = 6 * src + np.concatenate([cone, (cone + 3) % 6])
-    del src
-    order = np.lexsort((np.concatenate([turn, turn]), group))
-    nbr, group = dst[order], group[order]
-    del dst, turn, order
     start = np.zeros(6 * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(group, minlength=6 * n), out=start[1:])
     # v precedes w clockwise iff w lies right of apex -> v
@@ -187,34 +200,64 @@ def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     for g in np.unique(group[k[~clockwise]]).tolist():
         lo, hi = start[g], start[g + 1]
         apex = ps[g // 6]
-        cw = functools.cmp_to_key(lambda v, w: orient(apex, ps[v], ps[w]))
-        nbr[lo:hi] = sorted(nbr[lo:hi].tolist(), key=cw)
-    return nbr, start, cone
-
-
-#: Below this n, triangle keys (a*n + b)*n + c and n**3 fit in int64.
-_INT64_KEYS = 1 << 21
+        cw = functools.cmp_to_key(lambda e, f: orient(apex, ps[e[0]], ps[f[0]]))
+        pairs = sorted(zip(nbr[lo:hi].tolist(), slot[lo:hi].tolist()), key=cw)
+        nbr[lo:hi], slot[lo:hi] = np.array(pairs, dtype=np.intc).T
+    at = np.empty_like(slot)
+    at[slot] = np.arange(len(slot), dtype=np.intc)
+    return nbr, start, cone, at
 
 
 def _canonical_mask(
-    triangles: np.ndarray, nbr: np.ndarray, start: np.ndarray
+    triangles: np.ndarray, keys: np.ndarray, cone: np.ndarray, at: np.ndarray, n: int
 ) -> np.ndarray:
-    """Entry k is true when nbr[k] and nbr[k + 1] lie in one (vertex, cone)
-    group and form a triangle with its vertex.  Membership is a lookup among
-    the sorted keys of the sorted triangles, so no coordinate is read."""
-    n = (len(start) - 1) // 6
-    dtype = np.int64 if n < _INT64_KEYS else object
-    t = triangles.astype(dtype)
-    # n**3 exceeds every key, so each search lands inside the array
-    keys = np.append(np.sort((t[:, 0] * n + t[:, 1]) * n + t[:, 2]), n**3)
-    mask = np.zeros(len(nbr), dtype=bool)
-    for lo in range(0, len(nbr) - 1, _CLASSIFY_BLOCK):
-        k = np.arange(lo, min(lo + _CLASSIFY_BLOCK, len(nbr) - 1))
-        g = np.searchsorted(start, k, side="right") - 1
-        tri = np.sort(np.stack([g // 6, nbr[k], nbr[k + 1]]).astype(dtype), axis=0)
-        q = (tri[0] * n + tri[1]) * n + tri[2]
-        mask[k] = (keys[np.searchsorted(keys, q)] == q) & (start[g + 1] > k + 1)
+    """Entry k is true when the table's slots k and k + 1 lie in one
+    (vertex, cone) group and form a triangle with its vertex.
+
+    Each triangle side is looked up once among the edge keys: a block's
+    side keys are sorted, searched in one pass and scattered back; a side
+    missing from the edges leaves its two corners without a slot.  Each
+    corner's two sides are oriented edges out of it, at slots ``at``; when
+    those slots are adjacent and the two edges share a cone, the lower slot
+    is canonical.  No coordinate is read.  A row that is not a sorted triple
+    of distinct ids names no triangle."""
+    mask = np.zeros(2 * len(keys), dtype=bool)
+    if len(keys):
+        for lo in range(0, len(triangles), _CLASSIFY_BLOCK):
+            block = triangles[lo : lo + _CLASSIFY_BLOCK]
+            _mark_corners(mask, block, keys, cone, at, n)
     return mask
+
+
+def _mark_corners(mask, triangles, keys, cone, at, n) -> None:
+    """``_canonical_mask`` for one block of triangles, into ``mask``."""
+    m = len(keys)
+    a, b, c = triangles.T
+    rows = (a < b) & (b < c)
+    a, b, c = a[rows], b[rows], c[rows]
+    side = np.concatenate([a * n + b, a * n + c, b * n + c])
+    order = np.argsort(side)
+    side = side[order]
+    found = np.searchsorted(keys, side)
+    np.minimum(found, m - 1, out=found)
+    hit = keys[found] == side
+    edge = np.full(len(side), -1, dtype=np.intp)
+    edge[order[hit]] = found[hit]
+    ab, ac, bc = edge.reshape(3, -1)
+    # each corner's two sides, as oriented edges out of it: a -> b and
+    # a -> c, b -> a and b -> c, c -> a and c -> b.  ``rev`` holds the
+    # slots of the edges that run against their keys; two edges share a
+    # cone when their keys' cones differ by ``turn``, 3 where only one
+    # runs against its key
+    fwd, rev = at[:m], at[m:]
+    for e, f, s, t, turn in (
+        (ab, ac, fwd, fwd, 0), (ab, bc, rev, fwd, 3), (ac, bc, rev, rev, 0)
+    ):
+        known = (e >= 0) & (f >= 0)
+        e, f = e[known], f[known]
+        s, t = s[e], t[f]
+        adjacent = (np.abs(s - t) == 1) & ((cone[e] + turn) % 6 == cone[f])
+        mask[np.minimum(s, t)[adjacent]] = True
 
 
 def certify_delaunay(ps: PointSet, triangles) -> None:
@@ -232,8 +275,11 @@ def certify_delaunay(ps: PointSet, triangles) -> None:
     the circle means four points on an empty circle, which leave the
     Delaunay triangulation non-unique, and raises ``GeneralPositionError``.
 
-    The predicates run as array filters with the exact fallback, and each
-    failure is the first one a scan of the triangles in order would meet.
+    One stable sort of the directed edges, by undirected edge and then
+    direction, finds both the repeated directed edges (equal neighbours) and
+    the twins (neighbours that differ in direction only).  The predicates
+    run as array filters with the exact fallback, and each failure is the
+    first one a scan of the triangles in order would meet.
     """
     n = len(ps)
     xs, ys = ps.xs, ps.ys
@@ -246,11 +292,14 @@ def certify_delaunay(ps: PointSet, triangles) -> None:
     v = np.stack([b, c, a], axis=1).ravel()
     w = np.stack([c, a, b], axis=1).ravel()
     del a, b, c
-    key = u * n + v
+    # one stable sort by undirected edge, then direction: a repeated
+    # directed edge meets its copies, and twins differ in the low bit only
+    key = 2 * (np.minimum(u, v) * n + np.maximum(u, v)) + (u > v)
     order = np.argsort(key, kind="stable")
     ranked = key[order]
+    del key
     repeats = order[1:][ranked[1:] == ranked[:-1]]
-    first = repeats.min() if len(repeats) else len(key)
+    first = repeats.min() if len(repeats) else len(ranked)
     degenerate = np.flatnonzero(s == 0)
     if len(degenerate) and 3 * degenerate[0] <= first:
         bad = tuple(tri[degenerate[0]].tolist())
@@ -263,22 +312,22 @@ def certify_delaunay(ps: PointSet, triangles) -> None:
         raise ConstructionError(f"points in no triangle: {tuple(missing)}")
     hull = np.array(_convex_hull(xs, ys), dtype=np.int64)
     h = len(hull)
-    # each directed edge's twin among the sorted keys; n * n exceeds every
-    # key, so each search lands inside the array
-    twin = v * n + u
-    ranked = np.append(ranked, n * n)
-    at = np.searchsorted(ranked, twin)
-    has_twin = ranked[at] == twin
-    del twin, ranked
+    # with no repeats the keys are distinct, so twins are neighbours: the
+    # pairs of one undirected edge
+    pair = np.flatnonzero(ranked[1:] // 2 == ranked[:-1] // 2)
+    twin = np.full(len(ranked), -1, dtype=np.intp)
+    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    del order, ranked, pair
+    lone = twin < 0
     if not np.array_equal(
-        np.sort(key[~has_twin]), np.unique(hull * n + np.roll(hull, -1))
+        np.sort(u[lone] * n + v[lone]), np.unique(hull * n + np.roll(hull, -1))
     ):
         raise ConstructionError("the triangulation's boundary is not the convex hull")
     if len(tri) != 2 * n - 2 - h:
         raise ConstructionError(f"{len(tri)} triangles for n={n}, h={h}")
-    inner = np.flatnonzero(has_twin & (u < v))
-    u, v, w, x = u[inner], v[inner], w[inner], w[order[at[inner]]]
-    del key, order, at, has_twin, inner
+    inner = np.flatnonzero(~lone & (u < v))
+    u, v, w, x = u[inner], v[inner], w[inner], w[twin[inner]]
+    del twin, lone, inner
     s = in_circle_signs(xs, ys, u, v, w, x)
     inside = np.flatnonzero(s > 0)
     if len(inside):

@@ -23,6 +23,17 @@ def arc_fan(k, jagged=False, scale=1.0, seed=0):
     return triangulation_from_triangles(PointSet.from_pairs(pts), fan)
 
 
+def converging_rows(m: int) -> PointSet:
+    """Two curved rows of m points each that converge into a zig-zag.  The
+    greedy rounds of ``add_incident`` accept few edges apiece along the
+    zig-zag, so this set reaches the scalar scan that finishes them."""
+    top = [
+        (k, 100 - 90 * k / m - (k - m / 2.3) ** 2 * 1e-4 + 1e-7 * k) for k in range(m)
+    ]
+    bot = [(k + 0.5, (k - m / 2.3) ** 2 * 1e-4 + 1e-7 * k) for k in range(m)]
+    return PointSet.from_pairs(top + bot)
+
+
 @pytest.fixture
 def small_instance():
     from d8span.builder import construct_d8

@@ -144,10 +144,11 @@ def crossings(ps, edges) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     return out
 
 
-def canonical_edges(T, p: int, i: int) -> tuple[tuple[int, int], ...]:
+def canonical_edges(T, p: int, i: int, triangles=None) -> tuple[tuple[int, int], ...]:
     """Consecutive members of cone i of p that form a triangle with p, looked
-    up in the triangle list."""
-    triangles = set(T.triangles)
+    up in the triangle list; ``triangles``, when given, is ``set(T.triangles)``
+    of the caller."""
+    triangles = set(T.triangles) if triangles is None else triangles
     vs = T.cone(p, i)
     return tuple(
         (u, v) for u, v in zip(vs, vs[1:]) if tuple(sorted((p, u, v))) in triangles

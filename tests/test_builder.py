@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import arc_fan, random_points
-from oracles import reference_selection, reference_sort
+from conftest import arc_fan, converging_rows, random_points
+from oracles import reference_incident, reference_selection, reference_sort
 from d8span import builder, delaunay
 from d8span.builder import (
     add_canonical,
@@ -14,7 +14,6 @@ from d8span.builder import (
     sort_edges,
 )
 from d8span.delaunay import (
-    ConeNeighbourhood,
     ConstructionError,
     build_dt,
     canonical_subgraph,
@@ -144,6 +143,45 @@ def test_add_incident_two_competitors_in_one_cone():
     assert e_a == _add_incident_reference(T)
 
 
+def _assert_incident_matches_reference(T):
+    # the accepted set is the scalar scan's; the edges come in sorted order,
+    # and each one is the occupant of both of its slots, which are the only
+    # filled ones
+    L = sort_edges(T)
+    got = add_incident(T, L)
+    assert set(got.edges) == reference_incident(T, reference_sort(T))
+    row = {e: k for k, e in enumerate(zip(L.u.tolist(), L.v.tolist()))}
+    taken = [row[e] for e in got.edges]
+    assert taken == sorted(taken)
+    filled = {}
+    for k in taken:
+        p, q, i = int(L.u[k]), int(L.v[k]), int(L.cone[k])
+        filled[6 * p + i], filled[6 * q + (i + 3) % 6] = q, p
+    assert {s: w for s, w in enumerate(got.occupant) if w >= 0} == filled
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 500, 3000])
+@pytest.mark.parametrize("distribution", ["uniform-square", "gaussian", "annulus"])
+def test_add_incident_rounds_match_reference(distribution, n):
+    T = build_dt(generate(RunConfig(n=n, seed=n, distribution=distribution)))
+    _assert_incident_matches_reference(T)
+
+
+def test_add_incident_converging_rows_reach_the_scan(monkeypatch):
+    # along the zig-zag each round accepts few edges, so the rounds stop
+    # and the scalar scan finishes the rest
+    rows = []
+    scan = builder._scan
+
+    def spy(occupant, rest, *args):
+        rows.append(len(rest))
+        return scan(occupant, rest, *args)
+
+    monkeypatch.setattr(builder, "_scan", spy)
+    _assert_incident_matches_reference(build_dt(converging_rows(2000)))
+    assert rows and rows[0] > 0
+
+
 def test_add_incident_takes_triangulation_keys():
     # the accepted edges are triangulation edges in the order the sorted
     # list takes them, and the selection holds their keys in key order
@@ -217,15 +255,22 @@ def test_add_canonical_matches_select_edges():
     assert list(provenance.items()) == list(select_edges(T).provenance.items())
 
 
-def test_step_4c_failure_names_the_subgraph(monkeypatch):
+def test_step_4c_failure_names_the_subgraph():
     # a cone without the canonical edge step 4c needs is a construction
-    # error that names the apex's subgraph
+    # error that names the apex's subgraph: clear the canonical slots of the
+    # first 4c event's cone, which only that cone's own subgraph reads
     T = build_dt(random_points(5, 60))
-    steps = [p.step for ps in select_edges(T).provenance.values() for p in ps]
-    assert "4c" in steps
-    empty = lambda T, z, i: ConeNeighbourhood(z, i, T.cone(z, i), ())
-    monkeypatch.setattr(builder, "cone_neighbourhood", empty)
-    message = r"found \[\] \(apex \d+, anchor \d+, subgraph \("
+    e = select_edges(T).events
+    k = int(np.flatnonzero(e.step == 4)[0])
+    p, r, z, j = (int(x[k]) for x in (e.apex, e.anchor, e.end, e.cone))
+    lo, hi = T._start[6 * z + j], T._start[6 * z + j + 1]
+    canon = bytearray(T._canon)
+    canon[lo:hi] = bytes(hi - lo)
+    object.__setattr__(T, "_canon", bytes(canon))
+    message = (
+        rf"canonical edge of {z} with endpoint \d+ in cone {j}; found \[\] "
+        rf"\(apex {p}, anchor {r}, subgraph \("
+    )
     with pytest.raises(ConstructionError, match=message):
         select_edges(T)
 
@@ -303,9 +348,11 @@ _SELECTION_CASES = [
         (lambda k=k, jagged=jagged: arc_fan(k, jagged))
         for k in (3, 10, 60)
         for jagged in (False, True)
-    ],
+    ]
+    + [lambda: build_dt(converging_rows(2000))],
     ids=[f"{dist}-{n}" for dist, n in _SELECTION_CASES]
-    + [f"{kind}-{k}" for k in (3, 10, 60) for kind in ("arc", "jagged")],
+    + [f"{kind}-{k}" for k in (3, 10, 60) for kind in ("arc", "jagged")]
+    + ["converging-rows-2000"],
 )
 def test_selection_matches_scalar_reference(make):
     # the array sort, the occupant record and the table-read cones select

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay as QhullDelaunay
 from scipy.spatial import QhullError
 
-from conftest import arc_fan, random_points
+from conftest import arc_fan, converging_rows, random_points
 from oracles import (
     canonical_edges,
     dt_oracle,
@@ -173,7 +173,8 @@ def _outcome(check, ps, triangles):
 
 def _corrupted(ps, rng):
     """Qhull's triangles, then damaged copies: shuffled, unsorted, dropped,
-    repeated, re-pointed, made degenerate and with an edge flipped."""
+    repeated, re-pointed, made degenerate, with an edge flipped, and with
+    both a repeat and a degenerate triangle."""
     good = [tuple(t) for t in build_dt(ps).triangles]
     out = [good]
     shuffled = [tuple(rng.permutation(t).tolist()) for t in good]
@@ -197,6 +198,12 @@ def _corrupted(ps, rng):
             c, d = (sum(good[k]) - sum(e) for k in ks)
             rest = [t for k, t in enumerate(good) if k not in ks]
             out.append(rest + [(e[0], c, d), (e[1], c, d)])
+    # a repeated directed edge and a degenerate triangle, in each order:
+    # the error is the one the scan meets first
+    a, b, _ = good[0]
+    flat = (a, b, a)
+    out.append(good[:1] + good + [flat])
+    out.append([flat] + good + good[:1])
     return out
 
 
@@ -353,6 +360,40 @@ def test_float_tie_in_a_cone_is_ordered_exactly():
     assert exact.call_count > 0  # the group was re-sorted by exact orient
 
 
+def _without_a_side():
+    # the interior side (x, y) of a canonical slot at x left out of the
+    # edges: the corners x and y of its two triangles lose their slots, the
+    # opposite corners keep theirs
+    T = build_dt(random_points(11, 60))
+    interior = {e for e in T.edges if sum(set(e) <= set(t) for t in T.triangles) == 2}
+    side = next(
+        edge_key(x, y)
+        for x in range(len(T.points))
+        for i in range(6)
+        for y, _ in cone_neighbourhood(T, x, i).canonical_edges
+        if edge_key(x, y) in interior
+    )
+    hand = Triangulation(T.points, T.edges - {side}, T.triangles)
+    assert sum(hand._canon) < sum(T._canon)
+    return hand
+
+
+def _repeated_triangle():
+    T = build_dt(random_points(11, 60))
+    hand = Triangulation(T.points, T.edges, T.triangles + T.triangles[:1])
+    assert hand._canon == T._canon
+    return hand
+
+
+def _unsorted_rows():
+    # rows (a, c, b) of sorted triangles (a, b, c) name no triangle, though
+    # their sides (a, b) and (a, c) are edges
+    T = build_dt(random_points(11, 60))
+    hand = Triangulation(T.points, T.edges, [(a, c, b) for a, b, c in T.triangles])
+    assert not any(hand._canon)
+    return hand
+
+
 _CONE_CASES = pytest.mark.parametrize(
     "make",
     [
@@ -382,10 +423,20 @@ _CONE_CASES = pytest.mark.parametrize(
         ),
         # two neighbours of the origin whose float order keys tie
         lambda: _fan(_FLOAT_TIE, [(0, 1, 2)]),
+        # the tie, then a third neighbour after it in the same cone: the
+        # re-sorted group keeps each neighbour's slot
+        lambda: _fan(_FLOAT_TIE + [(2.5, 5.0)], [(0, 1, 2), (0, 1, 3)]),
+        lambda: build_dt(
+            generate(RunConfig(n=300, seed=3, distribution="gaussian"))
+        ),
+        _without_a_side,
+        _repeated_triangle,
+        _unsorted_rows,
     ],
     ids=[
         "n0", "n1", "n2-right", "n2-left", "n3", "random60", "annulus",
-        "fan", "fan-vertical", "hull-gap", "float-tie",
+        "fan", "fan-vertical", "hull-gap", "float-tie", "float-tie-3",
+        "gaussian", "without-a-side", "repeated", "unsorted-rows",
     ],
 )
 
@@ -395,14 +446,21 @@ def test_cones_match_oracle(make):
     _assert_cones_match_oracle(make())
 
 
-@_CONE_CASES
-def test_canonical_edges_match_oracle(make):
-    T = make()
+def _assert_canonical_edges_match_oracle(T):
+    triangles = set(T.triangles)
     for p in range(len(T.points)):
         for i in range(6):
             assert cone_neighbourhood(T, p, i).canonical_edges == canonical_edges(
-                T, p, i
+                T, p, i, triangles
             )
+
+
+@_CONE_CASES
+def test_canonical_edges_match_oracle(make):
+    # each triangle corner marks its slot when its two sides are adjacent in
+    # one cone: the same slots as a lookup of each consecutive pair's
+    # triangle in the triangle list
+    _assert_canonical_edges_match_oracle(make())
 
 
 def _array_subgraphs(T) -> dict:
@@ -561,13 +619,36 @@ def test_hand_built_triangulation_matches_arrays(n):
                 x[...] = 0
 
 
-def test_canonical_mask_python_int_keys(monkeypatch):
-    # above 2**21 points the triangle keys leave int64 for Python ints
-    T = build_dt(random_points(11, 60))
-    monkeypatch.setattr(delaunay, "_INT64_KEYS", 0)
-    T2 = build_dt(random_points(11, 60))
-    assert T2._canon == T._canon
-    assert any(T._canon)
+@pytest.mark.parametrize(
+    "make",
+    [lambda: converging_rows(2000)]
+    + [
+        lambda dist=dist: generate(RunConfig(n=2000, seed=7, distribution=dist))
+        for dist in ("uniform-square", "gaussian", "annulus")
+    ],
+    ids=["converging-rows-2000", "uniform-square", "gaussian", "annulus"],
+)
+def test_cone_table_matches_scalar_references(make):
+    # every key's cone is the scalar cone_index; each group holds exactly
+    # the neighbours in its cone, clockwise by exact orient; and the
+    # canonical slots are the triangle lookup's
+    T = build_dt(make())
+    ps = T.points
+    group = {}
+    for u, v in T._by_key:
+        group.setdefault((u, cone_index(ps[u], ps[v])), set()).add(v)
+        group.setdefault((v, cone_index(ps[v], ps[u])), set()).add(u)
+    assert T._cone.tolist() == [cone_index(ps[a], ps[b]) for a, b in T._by_key]
+    for p in range(len(ps)):
+        for i in range(6):
+            members = T.cone(p, i)
+            assert set(members) == group.get((p, i), set())
+            pairs = zip(members, members[1:])
+            assert all(orient(ps[p], ps[v], ps[w]) < 0 for v, w in pairs)
+    assert list(T._start) == np.cumsum(
+        [0] + [len(group.get((p, i), ())) for p in range(len(ps)) for i in range(6)]
+    ).tolist()
+    _assert_canonical_edges_match_oracle(T)
 
 
 def test_ring_is_clockwise():
