@@ -1,85 +1,15 @@
 """Bounded-degree plane spanner construction on Delaunay triangulations."""
 
-from .analysis import (
-    PATH_FACTOR,
-    STRETCH_BOUND,
-    AuditReport,
-    StretchReport,
-    WitnessPath,
-    degree_audit,
-    distance_matrix,
-    lemma_audits,
-    run_audits,
-    stretch_vs_dt,
-    subgraph_audit,
-    witness_path,
-)
-from .builder import (
-    ConstructionError,
-    EdgeSelection,
-    add_canonical,
-    add_incident,
-    construct_d8,
-    sort_edges,
-)
-from .delaunay import (
-    ConeNeighbourhood,
-    CanonicalSubgraph,
-    Triangulation,
-    build_dt,
-    canonical_subgraph,
-    cone_neighbourhood,
-    edge_key,
-    triangulation_from_triangles,
-)
-from .geometry import (
-    CanonicalTriangle,
-    GeneralPositionError,
-    Point,
-    PointSet,
-    bisector_distance,
-    canonical_triangle,
-    check_general_position,
-    cone_index,
-    euclid,
-    orient,
-)
+from .analysis import run_audits, stretch_vs_dt, witness_path
+from .builder import ConstructionError, construct_d8
+from .geometry import GeneralPositionError, PointSet
 
 __all__ = [
-    "PATH_FACTOR",
-    "STRETCH_BOUND",
-    "AuditReport",
-    "StretchReport",
-    "WitnessPath",
-    "degree_audit",
-    "distance_matrix",
-    "lemma_audits",
+    "PointSet",
+    "construct_d8",
     "run_audits",
     "stretch_vs_dt",
-    "subgraph_audit",
     "witness_path",
     "ConstructionError",
-    "EdgeSelection",
-    "add_canonical",
-    "add_incident",
-    "construct_d8",
-    "sort_edges",
-    "ConeNeighbourhood",
-    "CanonicalSubgraph",
-    "Triangulation",
-    "build_dt",
-    "canonical_subgraph",
-    "cone_neighbourhood",
-    "edge_key",
-    "triangulation_from_triangles",
-    "CanonicalTriangle",
     "GeneralPositionError",
-    "Point",
-    "PointSet",
-    "bisector_distance",
-    "canonical_triangle",
-    "check_general_position",
-    "cone_index",
-    "euclid",
-    "orient",
 ]

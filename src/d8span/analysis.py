@@ -146,7 +146,7 @@ class EdgeStretch:
     canonical_bound: float
 
 
-@dataclass(init=False, eq=False)
+@dataclass(eq=False)
 class StretchReport:
     """The stretch figures, the per-edge ones held as arrays.
 
@@ -154,14 +154,12 @@ class StretchReport:
     ``euclidean`` and ``canonical_bound`` hold each edge's spanner path
     length, Euclidean length and canonical bound as float64 arrays, in units
     of 2**``exponent``: the frame ``stretch_vs_dt`` computes them in, where
-    no distance overflows or underflows.  ``ok`` runs its per-edge gates in
-    that frame.  Each edge's Euclidean bound is ``STRETCH_BOUND`` times its
-    Euclidean length.
+    no distance overflows or underflows.  The arrays are made read-only.
+    ``ok`` runs its per-edge gates in that frame.  Each edge's Euclidean
+    bound is ``STRETCH_BOUND`` times its Euclidean length.
 
     ``per_dt_edge`` is a view built on first use, the figures scaled back by
-    ``np.ldexp``.  ``StretchReport(per_dt_edge, ...)`` assembles one from a
-    dict of ``EdgeStretch``, which is then its view; ``stretch_vs_dt``
-    assembles one from arrays."""
+    ``np.ldexp``."""
 
     max_edge_ratio: float
     all_pairs_max_ratio_vs_dt: float
@@ -173,41 +171,9 @@ class StretchReport:
     canonical_bound: np.ndarray = field(repr=False)
     exponent: int = field(repr=False)
 
-    def __init__(
-        self,
-        per_dt_edge: dict[tuple[int, int], EdgeStretch],
-        max_edge_ratio: float,
-        all_pairs_max_ratio_vs_dt: float,
-        all_pairs_max_ratio_vs_euclid: float,
-        connected: bool,
-    ):
-        rows = [
-            (s.path_length, s.euclidean, s.canonical_bound) for s in per_dt_edge.values()
-        ]
-        figures = np.array(rows, dtype=np.float64).reshape(-1, 3).T
-        self._assemble(
-            edge_arrays(per_dt_edge), *figures, 0,
-            (max_edge_ratio, all_pairs_max_ratio_vs_dt, all_pairs_max_ratio_vs_euclid),
-            connected,
-        )
-        self.__dict__["per_dt_edge"] = per_dt_edge
-
-    @classmethod
-    def _from_arrays(cls, ends, path, euclidean, canonical_bound, exponent, maxima):
-        s = cls.__new__(cls)
-        s._assemble(ends, path, euclidean, canonical_bound, exponent, maxima, True)
-        return s
-
-    def _assemble(
-        self, ends, path, euclidean, canonical_bound, exponent, maxima, connected
-    ) -> None:
-        for a in (*ends, path, euclidean, canonical_bound):
+    def __post_init__(self):
+        for a in (*self.ends, self.path, self.euclidean, self.canonical_bound):
             a.flags.writeable = False
-        self.ends, self.path, self.exponent = ends, path, exponent
-        self.euclidean, self.canonical_bound = euclidean, canonical_bound
-        (self.max_edge_ratio, self.all_pairs_max_ratio_vs_dt,
-         self.all_pairs_max_ratio_vs_euclid) = maxima
-        self.connected = connected
 
     @cached_property
     def per_dt_edge(self) -> dict[tuple[int, int], EdgeStretch]:
@@ -249,8 +215,9 @@ def canonical_bound(ps: PointSet, p: int, q: int) -> float:
 
 def _canonical_bounds(xs, ys, u, v, cone) -> np.ndarray:
     """``canonical_bound`` of each pair (u[k], v[k]) of the points (xs, ys),
-    v[k] in cone cone[k] of u[k]: the arithmetic of ``canonical_corners``
-    and ``math.dist``, elementwise in the same order."""
+    v[k] in cone cone[k] of u[k]: the corners a and b of the canonical
+    triangle, of height the bisector length h, and the distances of the two
+    paths through them, as ``math.dist`` gives each."""
     px, py, qx, qy = xs[u], ys[u], xs[v], ys[v]
     ux, uy = np.array(CONE_BISECTORS)[cone].T
     # left of the bisector direction is the rotated vector (-uy, ux)
@@ -561,14 +528,14 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     ps = T.points
     n = len(ps)
     if n < 2:
-        return StretchReport({}, 1.0, 1.0, 1.0, connected=True)
+        return _edgeless(1.0, connected=True)
     # the largest |coordinate| scaled into [1/2, 1) by a power of two
     e = int(np.frexp(max(np.abs(ps.xs).max(), np.abs(ps.ys).max()))[1])
     xs, ys = np.ldexp(ps.xs, -e), np.ldexp(ps.ys, -e)
     (u, v), (cu, cv) = sel.edge_arrays
     g8 = _graph(xs, ys, np.concatenate([u, cu]), np.concatenate([v, cv]))
     if connected_components(g8, directed=False, return_labels=False) > 1:
-        return StretchReport({}, math.inf, math.inf, math.inf, connected=False)
+        return _edgeless(math.inf, connected=False)
     # u is non-decreasing in key order, so the edges at a low end are a slice
     dt_u, dt_v = np.divmod(T._keys, n)
     rows = _rows(n)
@@ -583,8 +550,16 @@ def stretch_vs_dt(T: Triangulation, sel: EdgeSelection) -> StretchReport:
     # max over the edges of length / d from 1.0, as Python's max folds it:
     # fmax skips a NaN ratio
     max_edge_ratio = float(np.fmax.reduce(path[d > 0] / d[d > 0], initial=1.0))
-    return StretchReport._from_arrays(
-        (dt_u, dt_v), path, d, bound, e, (max_edge_ratio, max_edge_ratio, vs_euclid)
+    return StretchReport(
+        max_edge_ratio, max_edge_ratio, vs_euclid, True, (dt_u, dt_v), path, d, bound, e
+    )
+
+
+def _edgeless(ratio: float, connected: bool) -> StretchReport:
+    """The report with no per-edge figures and every maximum ``ratio``."""
+    ids, figures = np.empty(0, dtype=np.int64), np.empty(0)
+    return StretchReport(
+        ratio, ratio, ratio, connected, (ids, ids), figures, figures, figures, 0
     )
 
 

@@ -186,33 +186,23 @@ class EdgeSelection:
     in the order it added them.
 
     ``e_a``, ``e_can``, ``d8_edges`` and ``provenance`` are views built on
-    first use.  ``EdgeSelection(e_a, e_can, provenance)`` assembles one from
-    Python collections, which are then its views, pairs as given;
-    ``select_edges`` assembles one from arrays."""
+    first use.  ``EdgeSelection(e_a, e_can)`` assembles one from two
+    collections of pairs, such as an edge file's, with no provenance; the
+    pairs are then its views, as given.  ``select_edges`` assembles one from
+    arrays."""
 
     edge_arrays: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     events: Events = field(repr=False)
 
-    def __init__(self, e_a, e_can, provenance=None):
+    def __init__(self, e_a, e_can):
         e_a, e_can = frozenset(e_a), frozenset(e_can)
-        provenance = {} if provenance is None else provenance
-        code = {step: k for k, step in enumerate(_STEPS)}
-        rows = [
-            (*edge, code.get(p.step, -1), p.apex, p.anchor,
-             -1 if p.end_vertex is None else p.end_vertex,
-             -1 if p.cone is None else p.cone)
-            for edge, provs in provenance.items()
-            for p in provs
-        ]
-        columns = np.array(rows, dtype=np.intp).reshape(-1, 7).T
-        events = Events(*(c.astype(t) for c, t in zip(columns, _EVENT_TYPES)))
         ends = []
         for edges in (e_a, e_can):
             u, v = edge_arrays(edges)
             order = np.lexsort((v, u))
             ends.append((u[order], v[order]))
-        self._assemble(*ends, events)
-        self.__dict__.update(e_a=e_a, e_can=e_can, provenance=provenance)
+        self._assemble(*ends, _events(()))
+        self.__dict__.update(e_a=e_a, e_can=e_can)
 
     @classmethod
     def _from_arrays(cls, e_a, e_can, events: Events):

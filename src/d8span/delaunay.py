@@ -26,7 +26,6 @@ from .geometry import (
     Point,
     PointSet,
     Violation,
-    bisector_in_cone,
     check_general_position,
     cone_indices,
     in_circle_signs,
@@ -56,10 +55,10 @@ class Triangulation:
     group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].  _canon[k] is
     1 for the canonical edge (_nbr[k], _nbr[k + 1]) of its group.
 
-    ``edges``, ``triangles`` and ``_by_key`` (the edges in key order) are
-    views built on first use.  ``Triangulation(points, edges, triangles)``
-    assembles one from Python collections, which are then its views;
-    ``triangulation_from_triangles`` assembles one from arrays."""
+    ``Triangulation(points, keys, tri)`` takes the sorted keys and the
+    sorted triples and builds the cone table; ``triangulation_from_triangles``
+    derives the keys from a triangle list.  ``edges``, ``triangles`` and
+    ``_by_key`` (the edges in key order) are views built on first use."""
 
     points: PointSet
     _keys: np.ndarray = field(repr=False)
@@ -69,19 +68,7 @@ class Triangulation:
     _start: array = field(repr=False)
     _canon: bytes = field(repr=False)
 
-    def __init__(self, points: PointSet, edges, triangles):
-        u, v = edge_arrays(sorted(edges))
-        tri = np.array(triangles, dtype=np.int64).reshape(-1, 3)
-        self._assemble(points, u * len(points) + v, tri)
-        self.__dict__.update(edges=edges, triangles=triangles)
-
-    @classmethod
-    def _from_arrays(cls, points: PointSet, keys: np.ndarray, tri: np.ndarray):
-        T = cls.__new__(cls)
-        T._assemble(points, keys, tri)
-        return T
-
-    def _assemble(self, points, keys, tri) -> None:
+    def __init__(self, points: PointSet, keys: np.ndarray, tri: np.ndarray):
         nbr, start, cone, at = _cone_table(points, keys)
         canon = _canonical_mask(tri, keys, cone, at, len(points))
         del at
@@ -363,11 +350,13 @@ def _convex_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
         ring = [int(np.argmin(z)) for z in (xs, d, ys, e)]
         ring += [int(np.argmax(z)) for z in (xs, d, ys, e)]
         poly = [p for k, p in enumerate(ring) if p != ring[k - 1]]
-        inside = ids
-        for k in range(len(poly) if len(set(poly)) > 2 else 0):
-            ends = [np.full(len(inside), p) for p in (poly[k - 1], poly[k])]
-            inside = inside[orient_signs(xs, ys, *ends, inside) > 0]
-        ids = np.setdiff1d(ids, inside, assume_unique=True)
+        # a polygon through two points has no inside
+        if len(set(poly)) > 2:
+            inside = ids
+            for k in range(len(poly)):
+                ends = [np.full(len(inside), p) for p in (poly[k - 1], poly[k])]
+                inside = inside[orient_signs(xs, ys, *ends, inside) > 0]
+            ids = np.setdiff1d(ids, inside, assume_unique=True)
     ids = ids[np.lexsort((ys[ids], xs[ids]))]
     P = list(map(Point, ids.tolist(), xs[ids].tolist(), ys[ids].tolist()))
 
@@ -393,9 +382,9 @@ def build_dt(ps: PointSet) -> Triangulation:
     point inside their circle, are accepted.
     """
     n = len(ps)
-    report = check_general_position(ps)
-    if not report.ok:
-        raise GeneralPositionError(report.violations)
+    violations = check_general_position(ps)
+    if violations:
+        raise GeneralPositionError(violations)
     if n < 3:
         return triangulation_from_triangles(ps, ())
     try:
@@ -419,13 +408,13 @@ def build_dt(ps: PointSet) -> Triangulation:
 
 def triangulation_from_triangles(ps: PointSet, triangles) -> Triangulation:
     """Assemble a Triangulation from an explicit triangle list or (m, 3) int
-    array: its edges are the triangles' sides, plus the one edge of a
-    two-point set.
+    array, each row sorted on the way in: its edges are the triangles'
+    sides, plus the one edge of a two-point set.
 
     No Delaunay property is checked here; ``build_dt`` checks before it
     assembles, and hand-built fixtures and negative controls need not."""
     tri = np.sort(np.asarray(triangles, dtype=np.int64).reshape(-1, 3), axis=1)
-    return Triangulation._from_arrays(ps, _edge_keys(tri, len(ps)), tri)
+    return Triangulation(ps, _edge_keys(tri, len(ps)), tri)
 
 
 # ---------------------------------------------------------------------------
@@ -479,31 +468,16 @@ class CanonicalSubgraph(NamedTuple):
 
 def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
     """Subsequence of p's cone neighbourhood at bisector distance >= [pr],
-    with its surviving canonical edges."""
+    with its surviving canonical edges: the one-edge form of
+    ``canonical_subgraphs``."""
     if not T.is_edge(p, r):
         raise ValueError(f"({p},{r}) is not a triangulation edge")
-    i = T.cone_of(p, r)
-    lo, hi = T._start[6 * p + i], T._start[6 * p + i + 1]
-    if hi - lo == 1:  # r alone in its cone: no threshold to apply
-        return CanonicalSubgraph(p, r, i, (r,), ())
-    ps = T.points
-    apex = ps[p]
-
-    def length(v: int) -> float:
-        q = ps[v]
-        return bisector_in_cone(q.x - apex.x, q.y - apex.y, i)
-
-    threshold = length(r)
-    nbr, canon = T._nbr, T._canon
-    keep = [v for v in nbr[lo:hi] if v == r or length(v) >= threshold]
-    keep_set = set(keep)
-    edges = tuple(
-        (nbr[k], nbr[k + 1])
-        for k in range(lo, hi)
-        if canon[k] and nbr[k] in keep_set and nbr[k + 1] in keep_set
-    )
+    (b,) = canonical_subgraphs(T, np.array([p]), np.array([r]))
+    kept, edges, nbr = int(b.kept[0]), int(b.edges[0]), T._nbr
     return CanonicalSubgraph(
-        apex=p, anchor=r, cone=i, vertices=tuple(keep), edges=edges
+        apex=p, anchor=r, cone=int(b.cone[0]),
+        vertices=tuple(b.members[:kept].tolist()),
+        edges=tuple((nbr[s], nbr[s + 1]) for s in b.canonical[:edges].tolist()),
     )
 
 
@@ -576,15 +550,16 @@ class SubgraphBlock(NamedTuple):
 def canonical_subgraphs(
     T: Triangulation, u: np.ndarray, v: np.ndarray, cones: np.ndarray | None = None
 ) -> Iterator[SubgraphBlock]:
-    """``canonical_subgraph`` of (u[k], v[k]) and then of (v[k], u[k]) for
+    """The canonical subgraphs of (u[k], v[k]) and then of (v[k], u[k]) for
     each triangulation edge (u[k], v[k]), in blocks of ``_SCAN_BLOCK``
     oriented edges, so that no array spans all of them.  ``cones``, when
     given, is ``cones_of(T, u, v)`` of the caller; the cone of v[k] holding
     u[k] is the opposite one.
 
-    A member is kept when its bisector length, the float that
-    ``bisector_in_cone`` computes, is at least the anchor's, or when it is
-    the anchor itself; a canonical edge survives when both ends are kept."""
+    This is the one place the keep rule is written: a member is kept when
+    its bisector length, the float that ``bisector_in_cone`` computes, is at
+    least the anchor's, or when it is the anchor itself; a canonical edge
+    survives when both ends are kept."""
     nbr = np.frombuffer(T._nbr, dtype=np.intc)
     start = np.frombuffer(T._start, dtype=np.intc)
     canon = np.frombuffer(T._canon, dtype=np.bool_)

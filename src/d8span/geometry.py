@@ -6,13 +6,13 @@ tried first, and borderline cases fall back to rational arithmetic.  Doubles
 are dyadic rationals, so ``fractions.Fraction`` evaluates the same expression
 without error.
 
-Metric quantities (bisector lengths, triangle corners) are plain doubles.
+Metric quantities (bisector lengths) are plain doubles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -340,36 +340,6 @@ def bisector_in_cone(dx: float, dy: float, i: int) -> float:
     return dx * ux + dy * uy
 
 
-@dataclass(frozen=True)
-class CanonicalTriangle:
-    """Equilateral triangle with one corner at the apex, contained in the
-    apex's cone of q, with height equal to the bisector length."""
-
-    apex: Point
-    cone: int
-    height: float
-    a: tuple[float, float]  # left corner, seen from the apex
-    b: tuple[float, float]  # right corner
-
-
-def canonical_triangle(p, q) -> CanonicalTriangle:
-    i = cone_index(p, q)
-    h, a, b = canonical_corners(p.x, p.y, q.x, q.y, i)
-    return CanonicalTriangle(apex=Point(p.id, p.x, p.y), cone=i, height=h, a=a, b=b)
-
-
-def canonical_corners(px: float, py: float, qx: float, qy: float, i: int):
-    """Height and corners a, b of the canonical triangle of (px, py) and
-    (qx, qy), the second point known to lie in cone i of the first."""
-    h = bisector_in_cone(qx - px, qy - py, i)
-    ux, uy = CONE_BISECTORS[i]
-    # Left of the bisector direction is the rotated vector (-uy, ux).
-    lx, ly = -uy, ux
-    a = (px + h * (ux + TAN30 * lx), py + h * (uy + TAN30 * ly))
-    b = (px + h * (ux - TAN30 * lx), py + h * (uy - TAN30 * ly))
-    return h, a, b
-
-
 def euclid(p, q) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
@@ -387,15 +357,6 @@ class Violation:
         return f"{self.kind}{self.ids}"
 
 
-@dataclass
-class GeneralPositionReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class GeneralPositionError(ValueError):
     def __init__(self, violations: list[Violation]):
         super().__init__(
@@ -405,8 +366,9 @@ class GeneralPositionError(ValueError):
         self.violations = violations
 
 
-def check_general_position(ps: PointSet) -> GeneralPositionReport:
-    """Screen the set for coincident points and pairs at slope 0.
+def check_general_position(ps: PointSet) -> list[Violation]:
+    """The coincident points and pairs at slope 0 of the set, as
+    ``Violation``s; none when it passes the screen.
 
     These are the degeneracies no later step catches: the construction needs
     distinct points with no two on a cone-boundary slope.  Of those slopes
@@ -430,4 +392,4 @@ def check_general_position(ps: PointSet) -> GeneralPositionReport:
         kind = "coincident" if xs[a] == xs[b] else "slope"
         violations.append(Violation(kind, (min(a, b), max(a, b))))
     violations.sort(key=lambda v: v.ids)
-    return GeneralPositionReport(violations)
+    return violations

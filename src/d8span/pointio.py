@@ -101,19 +101,19 @@ def generate(cfg: RunConfig) -> PointSet:
     for attempt in range(MAX_DRAWS):
         pts = _sample(rng, cfg)
         ps = PointSet.from_pairs(pts)
-        report = check_general_position(ps)
-        if report.ok:
+        violations = check_general_position(ps)
+        if not violations:
             return ps
         if cfg.perturbation:
             jitter = rng.uniform(-cfg.perturbation, cfg.perturbation, size=pts.shape)
             repaired = PointSet.from_pairs(pts + jitter)
-            if check_general_position(repaired).ok:
+            if not check_general_position(repaired):
                 log.warning(
                     "generate: perturbed degenerate draw (seed=%d, attempt=%d, "
                     "violations=%s)",
                     cfg.seed,
                     attempt,
-                    [str(v) for v in report.violations[:5]],
+                    [str(v) for v in violations[:5]],
                 )
                 return repaired
         log.info(
@@ -121,4 +121,4 @@ def generate(cfg: RunConfig) -> PointSet:
             cfg.seed,
             attempt,
         )
-    raise GeneralPositionError(report.violations)
+    raise GeneralPositionError(violations)

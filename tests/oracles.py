@@ -15,7 +15,8 @@ degree and subgraph audits as Python loops over the selection, and
 tuples.  ``shared_triangles`` is the shared-triangle audit as a scan of the
 triangles that classifies each corner's cones itself.
 ``reference_canonical_bound`` is one pair's canonical bound as it ran before
-the stretch audit moved to arrays, on Python floats.
+the stretch audit moved to arrays, on Python floats, from the triangle
+corners of ``canonical_corners``.
 """
 
 import itertools
@@ -25,23 +26,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from d8span.analysis import PATH_FACTOR, AuditVerdict, _angle
-from d8span.builder import EdgeSelection, Provenance, e_a_occupant
+from d8span.builder import Provenance, e_a_occupant
 from d8span.delaunay import (
     CanonicalSubgraph,
     ConstructionError,
-    Triangulation,
     canonical_subgraph,
     cone_neighbourhood,
     edge_arrays,
     edge_key,
-    triangulation_from_triangles,
 )
 from d8span.geometry import (
+    CONE_BISECTORS,
+    TAN30,
     GeneralPositionError,
     Violation,
     bisector_distance,
     bisector_in_cone,
-    canonical_corners,
     cone_index,
     cone_index_dir,
     cone_indices,
@@ -64,18 +64,19 @@ def _circumcircle(a, b, c) -> tuple[float, float, float]:
     return ux, uy, r2
 
 
-def dt_oracle(ps, *, cap: int = 1000) -> Triangulation:
-    """Independent brute-force Delaunay edge set.
+def dt_oracle(ps, *, cap: int = 1000) -> frozenset[tuple[int, int]]:
+    """Independent brute-force Delaunay edge set, pairs (p, q) with p < q.
 
     An edge (p, q) is included iff some circle through p and q is empty of
     the other points, decided by testing the circumcircle of every triple
-    (p, q, r).  Quartic; refuses inputs above ``cap`` points.
+    (p, q, r); the one pair of a two-point set is an edge.  Quartic; refuses
+    inputs above ``cap`` points.
     """
     n = len(ps)
     if n > cap:
         raise ValueError(f"dt_oracle cap exceeded: {n} > {cap}")
     if n < 3:
-        return triangulation_from_triangles(ps, ())
+        return frozenset({(0, 1)} if n == 2 else ())
     xs = np.asarray(ps.xs)
     ys = np.asarray(ps.ys)
     edges = set()
@@ -103,27 +104,7 @@ def dt_oracle(ps, *, cap: int = 1000) -> Triangulation:
             if ok:
                 edges.add((p, q))
                 break
-    # Triangles: triples whose three edges are all present and whose
-    # circumcircle is empty.
-    triangles = []
-    for a, b, c in itertools.combinations(range(n), 3):
-        if (a, b) in edges and (a, c) in edges and (b, c) in edges:
-            pa, pb, pc = ps[a], ps[b], ps[c]
-            o = orient(pa, pb, pc)
-            if o == 0:
-                continue
-            if o < 0:
-                pb, pc = pc, pb
-            empty = True
-            for m in range(n):
-                if m in (a, b, c):
-                    continue
-                if in_circle(pa, pb, pc, ps[m]) > 0:
-                    empty = False
-                    break
-            if empty:
-                triangles.append((a, b, c))
-    return Triangulation(ps, frozenset(edges), tuple(triangles))
+    return frozenset(edges)
 
 
 def crossings(ps, edges) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -379,8 +360,9 @@ def _reference_extremal(T, e_a, can, i: int, *, last: bool, out) -> None:
             out.append((edge_key(*candidates[0]), prov("4c")))
 
 
-def reference_selection(T) -> EdgeSelection:
-    """E_A, E_CAN and the provenance lists, edge by edge on ``Point``s."""
+def reference_selection(T) -> tuple[set, set, dict]:
+    """E_A, E_CAN and the provenance lists, edge by edge on ``Point``s: the
+    sets of pairs and a dict of the lists by edge, in the order added."""
     L = reference_sort(T)
     e_a = reference_incident(T, L)
     e_can: set[tuple[int, int]] = set()
@@ -393,7 +375,7 @@ def reference_selection(T) -> EdgeSelection:
             for edge, prov in _reference_canonical(T, e_a, apex, anchor):
                 e_can.add(edge)
                 provenance.setdefault(edge, []).append(prov)
-    return EdgeSelection(frozenset(e_a), frozenset(e_can), provenance)
+    return e_a, e_can, provenance
 
 
 def _oriented_e_a(sel, T):
@@ -486,6 +468,20 @@ def reference_subgraph_audit(T, sel) -> dict:
     per selected pair."""
     offenders = [e for e in sel.d8_edges if e not in T.edges]
     return {"passed": not offenders, "non_dt_edges": offenders}
+
+
+def canonical_corners(px: float, py: float, qx: float, qy: float, i: int):
+    """Height and corners a, b of the canonical triangle of (px, py) and
+    (qx, qy), the second point known to lie in cone i of the first: an
+    equilateral triangle with one corner at the apex, inside the cone, of
+    height the bisector length."""
+    h = bisector_in_cone(qx - px, qy - py, i)
+    ux, uy = CONE_BISECTORS[i]
+    # Left of the bisector direction is the rotated vector (-uy, ux).
+    lx, ly = -uy, ux
+    a = (px + h * (ux + TAN30 * lx), py + h * (uy + TAN30 * ly))
+    b = (px + h * (ux - TAN30 * lx), py + h * (uy - TAN30 * ly))
+    return h, a, b
 
 
 def reference_canonical_bound(px: float, py: float, qx: float, qy: float, i: int) -> float:

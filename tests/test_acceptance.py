@@ -135,7 +135,7 @@ def test_criterion_1_dt_oracle_equivalence(capsys):
     for seed in range(200):
         n = 5 + seed % 36  # n in {5..40}
         ps = random_points(seed + 30_000, n)
-        if build_dt(ps).edges != dt_oracle(ps).edges:
+        if build_dt(ps).edges != dt_oracle(ps):
             mismatches += 1
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 60

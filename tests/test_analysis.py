@@ -49,7 +49,14 @@ from d8span.analysis import (
     subgraph_audit,
     witness_path,
 )
-from d8span.builder import EdgeSelection, Provenance, construct_d8, select_edges
+from d8span.builder import (
+    _STEPS,
+    EdgeSelection,
+    Events,
+    Provenance,
+    construct_d8,
+    select_edges,
+)
 from d8span.delaunay import (
     build_dt,
     canonical_subgraph,
@@ -58,7 +65,6 @@ from d8span.delaunay import (
 )
 from d8span.geometry import (
     PointSet,
-    canonical_triangle,
     cone_index,
     cone_index_dir,
     euclid,
@@ -229,6 +235,28 @@ def test_stretch_disconnected_flagged(small_instance):
     assert not s.connected and not s.ok
 
 
+@pytest.mark.parametrize(
+    "pairs, drop, ratio, ok",
+    [
+        ([], False, 1.0, True),
+        ([(3, 7)], False, 1.0, True),
+        ([(0, 0), (4, 1), (1, 5)], True, math.inf, False),
+    ],
+    ids=["n0", "n1", "disconnected"],
+)
+def test_stretch_reports_without_edge_figures(pairs, drop, ratio, ok):
+    # the reports stretch_vs_dt returns before any Dijkstra: no per-edge
+    # figure, every maximum the same, and the verdict
+    T, sel = construct_d8(PointSet.from_pairs(pairs))
+    if drop:
+        sel = EdgeSelection(e_a=frozenset(), e_can=frozenset())
+    s = stretch_vs_dt(T, sel)
+    assert s.per_dt_edge == {} and len(s.path) == 0
+    assert s.max_edge_ratio == ratio
+    assert s.all_pairs_max_ratio_vs_dt == s.all_pairs_max_ratio_vs_euclid == ratio
+    assert (s.connected, s.ok) == (ok, ok)
+
+
 def _dense_stretch(ps, T, sel):
     """Spanner distance matrix and the two all-pairs maxima, computed from
     full n x n matrices: each distance matrix from an undirected Dijkstra on
@@ -281,15 +309,6 @@ _STREAMED_CASES = (
 )
 
 
-def _point_canonical_bound(ps, p, q):
-    """``canonical_bound`` as it ran on ``Point`` objects."""
-    tri = canonical_triangle(ps[p], ps[q])
-    pp, qq = (ps[p].x, ps[p].y), (ps[q].x, ps[q].y)
-    pa, pb = math.dist(pp, tri.a), math.dist(pp, tri.b)
-    aq, bq = math.dist(tri.a, qq), math.dist(tri.b, qq)
-    return max(pa + PATH_FACTOR * aq, pb + PATH_FACTOR * bq)
-
-
 def _check_streamed(monkeypatch, dist, n, seed, cells, degrade):
     ps = generate(RunConfig(n=n, seed=seed, distribution=dist))
     T, sel = construct_d8(ps)
@@ -304,10 +323,12 @@ def _check_streamed(monkeypatch, dist, n, seed, cells, degrade):
     assert {e: x.path_length for e, x in s.per_dt_edge.items()} == {
         (u, v): float(d8[u, v]) for u, v in T.edges
     }
-    # the per-edge bounds are those of the Point functions, bit for bit
+    # the per-edge bounds are those of the scalar functions, bit for bit
     for (u, v), x in s.per_dt_edge.items():
         assert x.euclidean == euclid(ps[u], ps[v])
-        assert x.canonical_bound == _point_canonical_bound(ps, u, v)
+        p, q = ps[u], ps[v]
+        bound = reference_canonical_bound(p.x, p.y, q.x, q.y, cone_index(p, q))
+        assert x.canonical_bound == bound
 
 
 @pytest.mark.parametrize("dist, n, seed, cells, degrade", _STREAMED_CASES)
@@ -630,7 +651,10 @@ def test_stretch_headline_gate():
     assert DT_STRETCH * STRETCH_BOUND == pytest.approx(4.414, abs=5e-4)
 
     def report(vs_euclid):
-        return StretchReport({}, 2.0, 2.0, vs_euclid, connected=True)
+        ids, figures = np.empty(0, dtype=np.int64), np.empty(0)
+        return StretchReport(
+            2.0, 2.0, vs_euclid, True, (ids, ids), figures, figures, figures, 0
+        )
 
     assert report(4.4).ok
     assert not report(4.5).ok
@@ -1147,16 +1171,13 @@ def test_charged_cone_negative_control(small_instance):
     # holds a selected incident edge
     p, q = sorted(sel.e_a)[0]
     j = cone_index(ps[p], ps[q])
-    some_can_edge = sorted(sel.e_can)[0]
-    bad = EdgeSelection(
-        e_a=sel.e_a,
-        e_can=sel.e_can,
-        provenance={
-            some_can_edge: [
-                Provenance("4b", apex=q, anchor=p, end_vertex=p, cone=j)
-            ]
-        },
-    )
+    s, t = sorted(sel.e_can)[0]
+    step = _STEPS.index("4b")
+    event = Events(*(np.array([x]) for x in (s, t, step, q, p, p, j)))
+    bad = EdgeSelection._from_arrays(*sel.edge_arrays, event)
+    assert bad.provenance == {
+        (s, t): [Provenance("4b", apex=q, anchor=p, end_vertex=p, cone=j)]
+    }
     assert not audit_charged_cones(T, bad).passed
 
 

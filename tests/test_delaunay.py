@@ -22,7 +22,6 @@ from d8span import builder, delaunay
 from d8span.analysis import run_audits
 from d8span.builder import add_incident, construct_d8, sort_edges
 from d8span.delaunay import (
-    CanonicalSubgraph,
     ConstructionError,
     Triangulation,
     build_dt,
@@ -243,6 +242,10 @@ def _hull_sets():
         # x + y and x - y overflow to infinity
         "huge": rng.uniform(-1, 1, (100, 2)) * 1.7e308,
         "tiny": rng.uniform(-1, 1, (100, 2)) * 2.0**-1000,
+        # one point least and another greatest in x, y, x + y and y - x: the
+        # extreme-point polygon has two corners and holds nothing inside
+        "steep": np.column_stack([x := rng.uniform(0, 1, 20), 3 * x + x**2]),
+        "steep-3": [(0, 0), (1, 2), (2, 5)],
     }
 
 
@@ -253,6 +256,15 @@ def test_hull_filter_keeps_the_chain(name):
     ps = PointSet.from_pairs(_hull_sets()[name])
     xs, ys = np.asarray(ps.xs), np.asarray(ps.ys)
     assert delaunay._convex_hull(xs, ys) == reference_hull(ps)
+
+
+def test_steep_sets_build():
+    # sets whose extreme-point polygon has two corners were rejected with
+    # "the triangulation's boundary is not the convex hull"
+    ps = PointSet.from_pairs(_hull_sets()["steep"])
+    assert build_dt(ps).edges == dt_oracle(ps)
+    T = build_dt(PointSet.from_pairs(_hull_sets()["steep-3"]))
+    assert T.triangles == ((0, 1, 2),)
 
 
 def test_qhull_failure_on_non_collinear_set(monkeypatch):
@@ -272,7 +284,7 @@ def test_square_plus_center():
     pts = SQUARE_PLUS_CENTER
     T = build_dt(PointSet.from_pairs(pts))
     O = dt_oracle(PointSet.from_pairs(pts))
-    assert T.edges == O.edges
+    assert T.edges == O
     assert sorted(T.triangles) == sorted(SQUARE_FAN)
     assert len(T.edges) == 8
     assert all((i, 4) in T.edges or (4, i) in T.edges for i in range(4))
@@ -282,7 +294,7 @@ def test_square_plus_center():
 def test_dt_matches_oracle(seed):
     n = 5 + (seed * 7) % 45
     ps = random_points(seed + 1000, n)
-    assert build_dt(ps).edges == dt_oracle(ps).edges
+    assert build_dt(ps).edges == dt_oracle(ps)
 
 
 def test_empty_circumcircle_property():
@@ -373,24 +385,27 @@ def _without_a_side():
         for y, _ in cone_neighbourhood(T, x, i).canonical_edges
         if edge_key(x, y) in interior
     )
-    hand = Triangulation(T.points, T.edges - {side}, T.triangles)
+    key = side[0] * len(T.points) + side[1]
+    hand = Triangulation(T.points, T._keys[T._keys != key], T._tri)
     assert sum(hand._canon) < sum(T._canon)
     return hand
 
 
 def _repeated_triangle():
     T = build_dt(random_points(11, 60))
-    hand = Triangulation(T.points, T.edges, T.triangles + T.triangles[:1])
+    hand = triangulation_from_triangles(T.points, T.triangles + T.triangles[:1])
     assert hand._canon == T._canon
     return hand
 
 
 def _unsorted_rows():
-    # rows (a, c, b) of sorted triangles (a, b, c) name no triangle, though
-    # their sides (a, b) and (a, c) are edges
+    # rows (a, c, b) of sorted triangles (a, b, c) are sorted on the way in,
+    # so they mark the canonical slots that the sorted rows mark
     T = build_dt(random_points(11, 60))
-    hand = Triangulation(T.points, T.edges, [(a, c, b) for a, b, c in T.triangles])
-    assert not any(hand._canon)
+    hand = triangulation_from_triangles(
+        T.points, [(a, c, b) for a, b, c in T.triangles]
+    )
+    assert np.array_equal(hand._tri, T._tri) and hand._canon == T._canon
     return hand
 
 
@@ -463,34 +478,39 @@ def test_canonical_edges_match_oracle(make):
     _assert_canonical_edges_match_oracle(make())
 
 
-def _array_subgraphs(T) -> dict:
-    """``canonical_subgraphs`` of every oriented edge, as CanonicalSubgraph
-    values, after checking each block's per-edge facts against its ragged
-    arrays."""
-    nbr = T._nbr
+def _block_rows(T) -> dict:
+    """Each oriented edge's row of ``canonical_subgraphs`` over every edge,
+    by (apex, anchor): its cone, kept members, surviving canonical slots,
+    first and last member, first and last edge slot, and path flag."""
     out = {}
-    for b in canonical_subgraphs(T, *edge_arrays(sorted(T.edges))):
+    for b in canonical_subgraphs(T, *np.divmod(T._keys, len(T.points))):
         m, c = np.cumsum(b.kept) - b.kept, np.cumsum(b.edges) - b.edges
         for k in range(len(b.p)):
-            vertices = tuple(b.members[m[k] : m[k] + b.kept[k]].tolist())
-            slots = b.canonical[c[k] : c[k] + b.edges[k]].tolist()
-            edges = tuple((nbr[s], nbr[s + 1]) for s in slots)
-            can = CanonicalSubgraph(
-                int(b.p[k]), int(b.r[k]), int(b.cone[k]), vertices, edges
+            out[int(b.p[k]), int(b.r[k])] = (
+                int(b.cone[k]),
+                tuple(b.members[m[k] : m[k] + b.kept[k]].tolist()),
+                tuple(b.canonical[c[k] : c[k] + b.edges[k]].tolist()),
+                (int(b.first[k]), int(b.last[k])),
+                (int(b.first_edge[k]), int(b.last_edge[k])),
+                bool(b.is_path[k]),
             )
-            assert (b.first[k], b.last[k]) == (can.first_vertex, can.last_vertex)
-            assert b.is_path[k] == can.is_path()
-            ends = [slots[0], slots[-1]] if slots else [-1, -1]
-            assert [b.first_edge[k], b.last_edge[k]] == ends
-            out[can.apex, can.anchor] = can
     return out
 
 
 def _assert_subgraphs_match_reference(T):
-    got = _array_subgraphs(T)
-    assert len(got) == 2 * len(T.edges)
-    for (p, r), can in got.items():
+    # the scalar canonical_subgraph of every oriented edge is the reference's,
+    # and the whole-set blocks hold the same subgraph in their rows
+    rows = _block_rows(T)
+    assert len(rows) == 2 * len(T.edges)
+    for (p, r), (cone, members, slots, ends, edge_ends, is_path) in rows.items():
+        can = canonical_subgraph(T, p, r)
         assert can == reference_subgraph(T, p, r)
+        assert (cone, members) == (can.cone, can.vertices)
+        assert tuple((T._nbr[s], T._nbr[s + 1]) for s in slots) == can.edges
+        assert ends == (can.first_vertex, can.last_vertex)
+        assert edge_ends == ((slots[0], slots[-1]) if slots else (-1, -1))
+        assert is_path == can.is_path()
+        assert all(type(x) is int for x in can.vertices + sum(can.edges, ()))
 
 
 @_CONE_CASES
@@ -529,9 +549,9 @@ def test_canonical_subgraphs_blocks(monkeypatch, block):
     # one edge, an odd number of oriented edges and several edges per block
     # give the same subgraphs as one block
     T = build_dt(generate(RunConfig(n=300, seed=5, distribution="annulus")))
-    whole = _array_subgraphs(T)
+    whole = _block_rows(T)
     monkeypatch.setattr(delaunay, "_SCAN_BLOCK", block)
-    assert _array_subgraphs(T) == whole
+    assert _block_rows(T) == whole
 
 
 def test_canonical_subgraphs_reject_non_edge():
@@ -599,11 +619,12 @@ def test_cones_of_shuffled_pairs_match_cone_of():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 60])
 def test_hand_built_triangulation_matches_arrays(n):
-    # Triangulation(points, edges, triangles) and triangulation_from_triangles
-    # hold the same arrays and show the same views
+    # a Python triangle list and the triangle array, handed to
+    # triangulation_from_triangles, hold the same arrays and show the same
+    # views
     ps = random_points(7, n)
     T = build_dt(ps)
-    hand = Triangulation(ps, frozenset(T.edges), tuple(T.triangles))
+    hand = triangulation_from_triangles(ps, list(T.triangles))
     arrays = triangulation_from_triangles(ps, T._tri)
     for a in (hand, arrays):
         assert np.array_equal(a._keys, T._keys)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import canonical_corners
 from d8span import geometry
 from d8span.delaunay import build_dt
 from d8span.geometry import (
@@ -17,7 +18,6 @@ from d8span.geometry import (
     Point,
     PointSet,
     bisector_distance,
-    canonical_triangle,
     check_general_position,
     cone_index,
     cone_index_dir,
@@ -353,15 +353,16 @@ def test_bisector_table_antiparallel_exact():
 
 
 # ---------------------------------------------------------------------------
-# canonical triangle
+# canonical triangle: the scalar reference of the stretch audit's bounds
 
 
 def test_canonical_triangle_up():
-    tri = canonical_triangle(P(0, 0), P(0, 1))
+    assert cone_index(P(0, 0), P(0, 1)) == 0
+    h, a, b = canonical_corners(0.0, 0.0, 0.0, 1.0, 0)
     t = math.tan(math.radians(30))
-    assert tri.cone == 0 and tri.height == 1.0
-    assert tri.a == pytest.approx((-t, 1.0))
-    assert tri.b == pytest.approx((t, 1.0))
+    assert h == 1.0
+    assert a == pytest.approx((-t, 1.0))
+    assert b == pytest.approx((t, 1.0))
 
 
 @given(coord, coord, coord, coord)
@@ -370,21 +371,20 @@ def test_canonical_triangle_geometry(px, py, qx, qy):
     p, q = P(px, py), P(qx, qy)
     if px == qx and py == qy:
         return
-    tri = canonical_triangle(p, q)
-    h = tri.height
+    h, a, b = canonical_corners(px, py, qx, qy, cone_index(p, q))
     if h == 0:
         return
     side = h / math.cos(math.radians(30))
-    pa = math.hypot(tri.a[0] - px, tri.a[1] - py)
-    pb = math.hypot(tri.b[0] - px, tri.b[1] - py)
-    ab = math.hypot(tri.a[0] - tri.b[0], tri.a[1] - tri.b[1])
+    pa = math.hypot(a[0] - px, a[1] - py)
+    pb = math.hypot(b[0] - px, b[1] - py)
+    ab = math.hypot(a[0] - b[0], a[1] - b[1])
     scale = max(abs(px), abs(py), h, 1.0)
     tol = 1e-9 * scale
     assert abs(pa - side) <= tol and abs(pb - side) <= tol
     assert abs(ab - side) <= tol  # equilateral
     # q lies on segment (a, b): distance from q to the line is ~0
-    aq = (qx - tri.a[0], qy - tri.a[1])
-    abv = (tri.b[0] - tri.a[0], tri.b[1] - tri.a[1])
+    aq = (qx - a[0], qy - a[1])
+    abv = (b[0] - a[0], b[1] - a[1])
     cross = aq[0] * abv[1] - aq[1] * abv[0]
     assert abs(cross) <= 1e-9 * scale * scale
 
@@ -445,18 +445,17 @@ def test_point_set_rejects_length_mismatch():
 
 def test_gp_slope_zero_pair():
     r = check_general_position(PointSet.from_pairs([(0, 0), (1, 0)]))
-    assert [v.kind for v in r.violations] == ["slope"]
+    assert [v.kind for v in r] == ["slope"]
 
 
 def test_gp_clean_triple():
-    r = check_general_position(PointSet.from_pairs([(0, 0), (1, 2), (2, 5)]))
-    assert r.ok
+    assert check_general_position(PointSet.from_pairs([(0, 0), (1, 2), (2, 5)])) == []
 
 
 def test_gp_collinear_triple():
     # a collinear triple is not screened: build_dt rejects it
     ps = PointSet.from_pairs([(0, 0), (1, 1), (2, 2)])
-    assert check_general_position(ps).ok
+    assert check_general_position(ps) == []
     with pytest.raises(GeneralPositionError) as err:
         build_dt(ps)
     assert [v.kind for v in err.value.violations] == ["collinear"]
@@ -464,15 +463,14 @@ def test_gp_collinear_triple():
 
 def test_gp_coincident():
     r = check_general_position(PointSet.from_pairs([(1, 2), (1, 2)]))
-    assert [v.kind for v in r.violations] == ["coincident"]
+    assert [v.kind for v in r] == ["coincident"]
 
 
 def test_gp_sqrt3_slope_not_representable_but_checked():
     # doubles are rational, and sqrt(3) is not, so dy^2 = 3 dx^2 has no
     # solution with dx != 0: no pair lies on a +-sqrt(3) cone boundary and
     # the screen need not look for one; a clean set passes
-    r = check_general_position(PointSet.from_pairs([(0, 0), (1, 3), (5, 2)]))
-    assert r.ok
+    assert check_general_position(PointSet.from_pairs([(0, 0), (1, 3), (5, 2)])) == []
 
 
 def _pairwise_violations(pts):
@@ -494,12 +492,12 @@ tiny_coord = st.sampled_from([-1.5, -0.0, 0.0, 1.0, 2.5])
 def test_gp_matches_pairwise_oracle(pts):
     oracle = _pairwise_violations(pts)
     r = check_general_position(PointSet.from_pairs(pts))
-    assert r.ok == (not oracle)
-    reported = [v.ids for v in r.violations]
+    assert (not r) == (not oracle)
+    reported = [v.ids for v in r]
     assert reported == sorted(reported)
     # k points sharing a y give k - 1 pairs
     assert len(reported) == len(pts) - len({y for _, y in pts})
-    for v in r.violations:
+    for v in r:
         assert oracle.get(v.ids) == v.kind
     # the reported pairs join every equal-y run into one component
     comp = list(range(len(pts)))
