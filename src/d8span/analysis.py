@@ -21,6 +21,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from .builder import _STEPS, ConstructionError, EdgeSelection, e_a_occupant
 from .delaunay import (
     Triangulation,
+    _find,
     _ragged,
     canonical_subgraph,
     canonical_subgraphs,
@@ -30,11 +31,11 @@ from .delaunay import (
     extremal_ends,
 )
 from .geometry import (
-    CONE_BISECTORS,
+    _BISECTORS,
     TAN30,
     PointSet,
-    bisector_distance,
-    cone_index,
+    _bisector_lengths,
+    bisector_in_cone,
     euclid,
 )
 
@@ -98,11 +99,8 @@ def degree_audit(T: Triangulation, sel: EdgeSelection):
     n = len(T.points)
     (u, v), (cu, cv) = sel.edge_arrays
     deg_a = np.bincount(np.concatenate([u, v]), minlength=n)
-    # E_CAN - E_A, the rest of the union, by the keys of the pairs as given;
-    # n * n exceeds every key, so each search lands inside the array
-    e_a = np.append(np.sort(u * n + v), n * n)
-    key = cu * n + cv
-    rest = e_a[np.searchsorted(e_a, key)] != key
+    # E_CAN - E_A, the rest of the union, by the keys of the pairs as given
+    rest = _find(np.sort(u * n + v), cu * n + cv) < 0
     deg = deg_a + np.bincount(np.concatenate([cu[rest], cv[rest]]), minlength=n)
     hist = np.bincount(deg)
     degrees = np.flatnonzero(hist)
@@ -122,12 +120,8 @@ def subgraph_audit(T: Triangulation, sel: EdgeSelection):
     only a failing selection reads the tuple views, for its offenders in
     the order of ``sel.d8_edges``."""
     n = len(T.points)
-    # n * n exceeds every key of two ids below n, so each search lands
-    # inside the array
-    keys = np.append(T._keys, n * n)
     for u, v in sel.edge_arrays:
-        key = np.minimum(u * n + v, n * n)
-        found = keys[np.searchsorted(keys, key)] == key
+        found = _find(T._keys, u * n + v) >= 0
         if not (found & (0 <= u) & (u < n) & (0 <= v) & (v < n)).all():
             offenders = [e for e in sel.d8_edges if e not in T.edges]
             return {"passed": False, "non_dt_edges": offenders}
@@ -205,24 +199,17 @@ class StretchReport:
         )
 
 
-def canonical_bound(ps: PointSet, p: int, q: int) -> float:
-    """max{|pa| + (theta/sin theta)|aq|, |pb| + (theta/sin theta)|bq|} over
-    the corners a, b of the canonical triangle of (p, q)."""
-    u, v = np.array([p]), np.array([q])
-    cone = np.array([cone_index(ps[p], ps[q])])
-    return float(_canonical_bounds(ps.xs, ps.ys, u, v, cone)[0])
-
-
 def _canonical_bounds(xs, ys, u, v, cone) -> np.ndarray:
-    """``canonical_bound`` of each pair (u[k], v[k]) of the points (xs, ys),
-    v[k] in cone cone[k] of u[k]: the corners a and b of the canonical
-    triangle, of height the bisector length h, and the distances of the two
-    paths through them, as ``math.dist`` gives each."""
+    """The canonical bound of each pair (u[k], v[k]) of the points (xs, ys),
+    v[k] in cone cone[k] of u[k]: max{|pa| + (theta/sin theta)|aq|, |pb| +
+    (theta/sin theta)|bq|} over the corners a and b of the canonical
+    triangle, of height the bisector length h, each distance as
+    ``math.dist`` gives it."""
     px, py, qx, qy = xs[u], ys[u], xs[v], ys[v]
-    ux, uy = np.array(CONE_BISECTORS)[cone].T
+    ux, uy = _BISECTORS[:, cone]
     # left of the bisector direction is the rotated vector (-uy, ux)
     lx, ly = -uy, ux
-    h = (qx - px) * ux + (qy - py) * uy
+    h = _bisector_lengths(qx - px, qy - py, cone)
     ax, ay = px + h * (ux + TAN30 * lx), py + h * (uy + TAN30 * ly)
     bx, by = px + h * (ux - TAN30 * lx), py + h * (uy - TAN30 * ly)
     via_a = _hypot(px - ax, py - ay) + PATH_FACTOR * _hypot(ax - qx, ay - qy)
@@ -602,6 +589,12 @@ def _path_length(ps, vertices) -> float:
     return sum(euclid(ps[u], ps[v]) for u, v in zip(vertices, vertices[1:]))
 
 
+def _bisector(ps, p: int, q: int, i: int) -> float:
+    """The bisector length of q, in cone i of p, seen from p."""
+    a, b = ps[p], ps[q]
+    return bisector_in_cone(b.x - a.x, b.y - a.y, i)
+
+
 def witness_path(
     T: Triangulation, sel: EdgeSelection, p: int, q: int, *, _depth: int = 0
 ) -> WitnessPath:
@@ -620,13 +613,14 @@ def witness_path(
     if sel.has_d8_edge(p, q):
         return WitnessPath(p, q, [p, q], euclid(ps[p], ps[q]), ["direct"])
     i = T.cone_of(p, q)
-    lpq = bisector_distance(ps[p], ps[q])
+    o = (i + 3) % 6  # the cone of q holding p
+    lpq = _bisector(ps, p, q, i)
     r = e_a_occupant(T, sel.e_a, p, i)
-    if r is not None and bisector_distance(ps[p], ps[r]) <= lpq * (1 + BOUND_RTOL):
+    if r is not None and _bisector(ps, p, r, i) <= lpq * (1 + BOUND_RTOL):
         return _witness_from(T, sel, p, q, r, i, _depth)
-    u = e_a_occupant(T, sel.e_a, q, (i + 3) % 6)
-    if u is not None and bisector_distance(ps[q], ps[u]) <= lpq * (1 + BOUND_RTOL):
-        w = _witness_from(T, sel, q, p, u, (i + 3) % 6, _depth)
+    u = e_a_occupant(T, sel.e_a, q, o)
+    if u is not None and _bisector(ps, q, u, o) <= lpq * (1 + BOUND_RTOL):
+        w = _witness_from(T, sel, q, p, u, o, _depth)
         return WitnessPath(
             p, q, list(reversed(w.vertices)), w.length, w.trace + ["reversed"]
         )
@@ -692,8 +686,8 @@ def _witness_from(T, sel, p, q, r, i, depth) -> WitnessPath:
         return WitnessPath(p, q, verts, _path_length(ps, verts), ["concat"])
     if rel == 3:
         s = y
-        lsq = bisector_distance(ps[s], ps[q])
-        lpq = bisector_distance(ps[p], ps[q])
+        lsq = _bisector(ps, s, q, (j + 3) % 6)
+        lpq = _bisector(ps, p, q, i)
         if lsq > lpq * (1 + BOUND_RTOL):
             raise ConstructionError(
                 f"recursion on ({s},{q}) does not shrink the canonical "
@@ -786,8 +780,7 @@ def _lemma_scan(T, sel, u, v, stop: int) -> dict[str, dict]:
     v[k]) in turn, by name; the scan ends once ``stop`` lemmas have one."""
     n = len(T.points)
     _, (cu, cv) = sel.edge_arrays
-    # n * n exceeds every key, so each search lands inside the array
-    e_a = np.append(_keys(u, v, n), n * n)
+    e_a = _keys(u, v, n)
     u, v, cone = _dt_cones(T, u, v)
     selected = _selected_cones(T, u, v, cone) | _selected_cones(T, *_dt_cones(T, cu, cv))
     found: dict[str, dict] = {}
@@ -820,7 +813,7 @@ def _lemma_scan(T, sel, u, v, stop: int) -> dict[str, dict]:
             bad = []
             for y, z, j in ends:
                 key = np.minimum(a, z) * n + np.maximum(a, z)
-                direct = e_a[np.searchsorted(e_a, key)] == key
+                direct = _find(e_a, key) >= 0
                 bad.append((z != anchor) & ~direct & (j == cone))
             either = bad[0] | bad[1]
             if either.any():
@@ -888,8 +881,7 @@ def audit_wedge_angles(T, sel=None) -> AuditVerdict:
     angle are those of ``_angle``."""
     limit = 2 * math.pi / 3 - 1e-9
     xs, ys = T.points.xs, T.points.ys
-    nbr = np.frombuffer(T._nbr, dtype=np.intc)
-    start = np.frombuffer(T._start, dtype=np.intc).astype(np.intp)
+    nbr, start = T._nbr, T._start.astype(np.intp)
     g = np.flatnonzero(np.diff(start) > 2)
     # one row per intermediate member x: its slot and its group's bounds
     owner, x = _ragged(start[g] + 1, np.diff(start)[g] - 2)
@@ -935,7 +927,8 @@ def _wedge_at(T, g: int, a_slot: int, x_slot: int, limit: float):
     x_slot of group g: the counterexample, or None."""
     p, i = divmod(g, 6)
     members = T.cone(p, i)
-    a, x = a_slot - T._start[g], x_slot - T._start[g]
+    lo = int(T._start[g])
+    a, x = a_slot - lo, x_slot - lo
     ps = T.points
     row = [_angle(ps, p, members[x], w) for w in members[x + 1 :]]
     near = _angle(ps, members[a], members[x], p)
@@ -959,9 +952,8 @@ def audit_shared_triangles(T, sel=None) -> AuditVerdict:
     counted per triangle as arrays; only a failure reads ``T.triangles``,
     for the first counterexample in its order."""
     n = len(T.points)
-    nbr = np.frombuffer(T._nbr, dtype=np.intc)
-    start = np.frombuffer(T._start, dtype=np.intc)
-    k = np.flatnonzero(np.frombuffer(T._canon, dtype=np.bool_))
+    nbr, start = T._nbr, T._start
+    k = np.flatnonzero(T._canon)
     corner = (np.searchsorted(start, k, side="right") - 1) // 6
     tri = np.sort(np.stack([corner, nbr[k], nbr[k + 1]]), axis=0)
     order = np.lexsort(tri[::-1])

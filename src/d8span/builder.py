@@ -13,7 +13,7 @@ import numpy as np
 from .delaunay import (
     ConstructionError,
     Triangulation,
-    _ragged,
+    _slots,
     build_dt,
     canonical_subgraph,
     canonical_subgraphs,
@@ -22,7 +22,7 @@ from .delaunay import (
     edge_key,
     extremal_ends,
 )
-from .geometry import CONE_BISECTORS, PointSet
+from .geometry import PointSet, _bisector_lengths
 
 
 class SortedEdges(NamedTuple):
@@ -42,27 +42,27 @@ def sort_edges(T: Triangulation) -> SortedEdges:
     u, v = np.divmod(T._keys, len(T.points))
     cone = T._cone
     xs, ys = T.points.xs, T.points.ys
-    ux, uy = np.array(CONE_BISECTORS)[cone].T
     with np.errstate(over="ignore"):
-        dx, dy = xs[v] - xs[u], ys[v] - ys[u]
-        length = dx * ux + dy * uy
+        length = _bisector_lengths(xs[v] - xs[u], ys[v] - ys[u], cone)
     # the keys are sorted, so a stable sort breaks ties on (u, v)
     order = np.argsort(length, kind="stable")
     return SortedEdges(u[order], v[order], cone[order], length[order])
 
 
 class IncidentEdges(NamedTuple):
-    """The greedy selection: the accepted edges (u, v), u < v, as the rows
-    of an int array in the order taken, and at 6p + i the far end of the
-    accepted edge leaving p into cone i, or -1."""
+    """The greedy selection: the accepted edges (u, v), u < v, with the cone
+    of u holding v, as the rows of L in the order taken, and at 6p + i the
+    far end of the accepted edge leaving p into cone i, or -1."""
 
-    ends: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    cone: np.ndarray
     occupant: array
 
     @property
     def edges(self) -> list[tuple[int, int]]:
         """The accepted edges as tuples, in the order taken."""
-        return list(map(tuple, self.ends.tolist()))
+        return list(zip(self.u.tolist(), self.v.tolist()))
 
 
 def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
@@ -107,8 +107,9 @@ def add_incident(T: Triangulation, L: SortedEdges) -> IncidentEdges:
         if done:
             break
     _scan(occupant, live, a, b, L)
-    u, v, _ = _accepted(L, occupant)
-    return IncidentEdges(np.stack([u, v], axis=1), occupant)
+    # each accepted edge is the one that set the slot of its low end and cone
+    taken = occ[a] == L.v
+    return IncidentEdges(L.u[taken], L.v[taken], L.cone[taken], occupant)
 
 
 def _scan(occupant: array, rows: np.ndarray, a, b, L: SortedEdges) -> None:
@@ -280,7 +281,7 @@ def _completion(T, occupant, b, pick: np.ndarray) -> Events:
     rotated by i; the first extremal edge is handled with the mirrored cone
     indices of the last one.
     """
-    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    nbr = T._nbr
     occ = np.asarray(occupant)
     # per event: its edge's row, its step and its (y, z), where z is the end
     # vertex and j the cone of z holding y in step 4
@@ -336,17 +337,14 @@ def _completion(T, occupant, b, pick: np.ndarray) -> Events:
     end, cone = np.where(later, t, -1), np.where(later, j, np.int8(-1))
     # Step 4c: the canonical edge of z in cone j with end y.  It is at the
     # slot before y's in group 6z + j or at y's own, and exactly one of the
-    # two must be canonical; the first event where that fails raises.
+    # two must be canonical; the first event where that fails raises.  A
+    # group's last slot is never canonical, so the slot before a group's
+    # first is not either.
     k = np.flatnonzero(step == 4)
     if len(k):
-        start = np.frombuffer(T._start, dtype=np.intc)
-        canon = np.frombuffer(T._canon, dtype=np.bool_)
-        g = 6 * t[k] + j[k]
-        lo = start[g]
-        owner, slot = _ragged(lo, start[g + 1] - lo)
-        at = slot[nbr[slot] == s[k][owner]]
-        before = (at > lo) & canon[at - 1]
-        bad = before == canon[at]
+        at = _slots(T, t[k], s[k])
+        before = T._canon[at - 1]
+        bad = before == T._canon[at]
         if bad.any():
             f = int(k[np.argmax(bad)])
             raise _step_4c_error(T, *(int(x[f]) for x in (apex, anchor, s, t, j)))
@@ -366,14 +364,6 @@ def _step_4c_error(T, p: int, r: int, y: int, z: int, cone: int) -> Construction
     )
 
 
-def _accepted(L: SortedEdges, occupant: array) -> tuple[np.ndarray, ...]:
-    """The rows (u, v, cone) of L that ``add_incident`` accepted, in the
-    order it took them: each is the one edge that set the slot of its low
-    end and its cone."""
-    taken = np.frombuffer(occupant, dtype=np.intc)[6 * L.u + L.cone] == L.v
-    return L.u[taken], L.v[taken], L.cone[taken]
-
-
 def select_edges(T: Triangulation) -> EdgeSelection:
     """Sorted edge list, greedy incident selection, then canonical
     completion from both endpoints of every selected edge in sorted order.
@@ -383,15 +373,13 @@ def select_edges(T: Triangulation) -> EdgeSelection:
     failure read a cone again.  E_A and E_CAN are kept as arrays in key
     order and the provenance as events: no tuple is built."""
     n = len(T.points)
-    L = sort_edges(T)
-    occupant = add_incident(T, L).occupant
-    u, v, cone = _accepted(L, occupant)
-    del L  # free the sorted list before the completion
+    # the sorted list is freed before the completion
+    a = add_incident(T, sort_edges(T))
     events = _events(
-        _completion(T, occupant, b, np.ones(len(b.p), dtype=bool))
-        for b in canonical_subgraphs(T, u, v, cone)
+        _completion(T, a.occupant, b, np.ones(len(b.p), dtype=bool))
+        for b in canonical_subgraphs(T, a.u, a.v, a.cone)
     )
-    e_a = np.divmod(np.sort(u * n + v), n)
+    e_a = np.divmod(np.sort(a.u * n + a.v), n)
     e_can = np.divmod(np.unique(events.u * n + events.v), n)
     return EdgeSelection._from_arrays(e_a, e_can, events)
 

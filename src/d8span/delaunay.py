@@ -10,7 +10,6 @@ rather than propagated.
 from __future__ import annotations
 
 import functools
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -21,11 +20,12 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .geometry import (
-    CONE_BISECTORS,
+    _BISECTORS,
     GeneralPositionError,
     Point,
     PointSet,
     Violation,
+    _bisector_lengths,
     check_general_position,
     cone_indices,
     in_circle_signs,
@@ -45,15 +45,19 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, init=False, eq=False)
 class Triangulation:
-    """A triangulation of ``points``, held as arrays.
+    """A triangulation of ``points``, held as read-only numpy arrays.
 
     ``_keys`` are the sorted keys u * n + v of its edges (u, v), u < v, and
     ``_cone`` the cone of u holding v for each key, as int8; ``_tri`` is its
     triangles, an (m, 3) int64 array of sorted triples.  The cone table is
-    held as C int arrays Python indexes cheaply: the far ends of the 2E
-    oriented edges grouped by (vertex, cone), clockwise within a group;
-    group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].  _canon[k] is
-    1 for the canonical edge (_nbr[k], _nbr[k + 1]) of its group.
+    the one address of a half-edge.  ``_nbr`` holds the far ends of the 2E
+    oriented edges grouped by (vertex, cone), clockwise within a group, as
+    C ints: group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].
+    ``_at`` holds each oriented edge's slot in it: _at[k] of (u, v) of key
+    k, _at[len(_keys) + k] of (v, u); ``_slots`` finds them by ``_find``,
+    the one key lookup.  _canon[s] is true for the canonical edge
+    (_nbr[s], _nbr[s + 1]) of its group.  Scalar readers convert with
+    ``tolist``, so no numpy scalar leaves them.
 
     ``Triangulation(points, keys, tri)`` takes the sorted keys and the
     sorted triples and builds the cone table; ``triangulation_from_triangles``
@@ -64,24 +68,22 @@ class Triangulation:
     _keys: np.ndarray = field(repr=False)
     _cone: np.ndarray = field(repr=False)
     _tri: np.ndarray = field(repr=False)
-    _nbr: array = field(repr=False)
-    _start: array = field(repr=False)
-    _canon: bytes = field(repr=False)
+    _nbr: np.ndarray = field(repr=False)
+    _start: np.ndarray = field(repr=False)
+    _at: np.ndarray = field(repr=False)
+    _canon: np.ndarray = field(repr=False)
 
     def __init__(self, points: PointSet, keys: np.ndarray, tri: np.ndarray):
         nbr, start, cone, at = _cone_table(points, keys)
         canon = _canonical_mask(tri, keys, cone, at, len(points))
-        del at
-        for a in (keys, cone, tri):
+        object.__setattr__(self, "points", points)
+        state = zip(
+            ("_keys", "_cone", "_tri", "_nbr", "_start", "_at", "_canon"),
+            (keys, cone, tri, nbr, start, at, canon),
+        )
+        for name, a in state:
             a.flags.writeable = False
-        state = {
-            "points": points, "_keys": keys, "_cone": cone, "_tri": tri,
-            "_nbr": array("i", nbr.tobytes()),
-            "_start": array("i", start.astype(np.intc).tobytes()),
-            "_canon": canon.tobytes(),
-        }
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, a)
 
     @functools.cached_property
     def _by_key(self) -> list[tuple[int, int]]:
@@ -98,8 +100,8 @@ class Triangulation:
 
     def cone(self, p: int, i: int) -> tuple[int, ...]:
         """Neighbours of p in cone i, in clockwise order."""
-        g = 6 * p + i
-        return tuple(self._nbr[self._start[g] : self._start[g + 1]])
+        lo, hi = self._start[6 * p + i : 6 * p + i + 2].tolist()
+        return tuple(self._nbr[lo:hi].tolist())
 
     def cone_of(self, p: int, q: int) -> int:
         """The cone of p holding its neighbour q."""
@@ -166,8 +168,8 @@ def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, ...]:
         with np.errstate(all="ignore"):
             dx, dy = xs[d] - xs[s], ys[d] - ys[s]
             cone[block] = c = cone_indices(dx, dy)
-            ux, uy = np.array(CONE_BISECTORS)[c].T
-            turn[block] = (dx * uy - dy * ux) / (dx * ux + dy * uy)
+            ux, uy = _BISECTORS[:, c]
+            turn[block] = (dx * uy - dy * ux) / _bisector_lengths(dx, dy, c)
     # fmin and fmax take a NaN to the bound
     turn = 0.5 + 0.4 * np.fmax(np.fmin(turn, 0.6), -0.6)
     key = np.concatenate([6 * u + cone, 6 * v + (cone + 3) % 6], dtype=np.float64)
@@ -179,7 +181,7 @@ def _cone_table(ps: PointSet, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     del key
     nbr = np.concatenate([v, u]).astype(np.intc)[slot]
     del u, v
-    start = np.zeros(6 * n + 1, dtype=np.int64)
+    start = np.zeros(6 * n + 1, dtype=np.intc)
     np.cumsum(np.bincount(group, minlength=6 * n), out=start[1:])
     # v precedes w clockwise iff w lies right of apex -> v
     k = np.flatnonzero(group[1:] == group[:-1])
@@ -201,50 +203,35 @@ def _canonical_mask(
     """Entry k is true when the table's slots k and k + 1 lie in one
     (vertex, cone) group and form a triangle with its vertex.
 
-    Each triangle side is looked up once among the edge keys: a block's
-    side keys are sorted, searched in one pass and scattered back; a side
-    missing from the edges leaves its two corners without a slot.  Each
-    corner's two sides are oriented edges out of it, at slots ``at``; when
-    those slots are adjacent and the two edges share a cone, the lower slot
-    is canonical.  No coordinate is read.  A row that is not a sorted triple
-    of distinct ids names no triangle."""
-    mask = np.zeros(2 * len(keys), dtype=bool)
-    if len(keys):
-        for lo in range(0, len(triangles), _CLASSIFY_BLOCK):
-            block = triangles[lo : lo + _CLASSIFY_BLOCK]
-            _mark_corners(mask, block, keys, cone, at, n)
-    return mask
-
-
-def _mark_corners(mask, triangles, keys, cone, at, n) -> None:
-    """``_canonical_mask`` for one block of triangles, into ``mask``."""
+    Each triangle side is looked up once among the edge keys by ``_find``, a
+    block of triangles at a time; a side missing from the edges leaves its
+    two corners without a slot.  Each corner's two sides are oriented edges
+    out of it, at slots ``at``; when those slots are adjacent and the two
+    edges share a cone, the lower slot is canonical.  No coordinate is read.
+    A row that is not a sorted triple of distinct ids names no triangle."""
     m = len(keys)
-    a, b, c = triangles.T
-    rows = (a < b) & (b < c)
-    a, b, c = a[rows], b[rows], c[rows]
-    side = np.concatenate([a * n + b, a * n + c, b * n + c])
-    order = np.argsort(side)
-    side = side[order]
-    found = np.searchsorted(keys, side)
-    np.minimum(found, m - 1, out=found)
-    hit = keys[found] == side
-    edge = np.full(len(side), -1, dtype=np.intp)
-    edge[order[hit]] = found[hit]
-    ab, ac, bc = edge.reshape(3, -1)
+    mask = np.zeros(2 * m, dtype=bool)
     # each corner's two sides, as oriented edges out of it: a -> b and
     # a -> c, b -> a and b -> c, c -> a and c -> b.  ``rev`` holds the
     # slots of the edges that run against their keys; two edges share a
     # cone when their keys' cones differ by ``turn``, 3 where only one
     # runs against its key
     fwd, rev = at[:m], at[m:]
-    for e, f, s, t, turn in (
-        (ab, ac, fwd, fwd, 0), (ab, bc, rev, fwd, 3), (ac, bc, rev, rev, 0)
-    ):
-        known = (e >= 0) & (f >= 0)
-        e, f = e[known], f[known]
-        s, t = s[e], t[f]
-        adjacent = (np.abs(s - t) == 1) & ((cone[e] + turn) % 6 == cone[f])
-        mask[np.minimum(s, t)[adjacent]] = True
+    for lo in range(0, len(triangles), _CLASSIFY_BLOCK):
+        a, b, c = triangles[lo : lo + _CLASSIFY_BLOCK].T
+        rows = (a < b) & (b < c)
+        a, b, c = a[rows], b[rows], c[rows]
+        side = np.concatenate([a * n + b, a * n + c, b * n + c])
+        ab, ac, bc = _find(keys, side).reshape(3, -1)
+        for e, f, s, t, turn in (
+            (ab, ac, fwd, fwd, 0), (ab, bc, rev, fwd, 3), (ac, bc, rev, rev, 0)
+        ):
+            known = (e >= 0) & (f >= 0)
+            e, f = e[known], f[known]
+            s, t = s[e], t[f]
+            adjacent = (np.abs(s - t) == 1) & ((cone[e] + turn) % 6 == cone[f])
+            mask[np.minimum(s, t)[adjacent]] = True
+    return mask
 
 
 def certify_delaunay(ps: PointSet, triangles) -> None:
@@ -430,11 +417,10 @@ class ConeNeighbourhood:
 
 
 def cone_neighbourhood(T: Triangulation, p: int, i: int) -> ConeNeighbourhood:
-    g = 6 * p + i
-    lo, hi = T._start[g], T._start[g + 1]
-    ring = T._nbr[lo : hi + 1]  # the group and the entry after it
+    lo, hi = T._start[6 * p + i : 6 * p + i + 2].tolist()
+    ring = T._nbr[lo : hi + 1].tolist()  # the group and the entry after it
     canon = tuple(
-        (ring[k], ring[k + 1]) for k, c in enumerate(T._canon[lo:hi]) if c
+        (ring[k], ring[k + 1]) for k in np.flatnonzero(T._canon[lo:hi]).tolist()
     )
     return ConeNeighbourhood(
         apex=p, cone=i, vertices=tuple(ring[: hi - lo]), canonical_edges=canon
@@ -473,11 +459,11 @@ def canonical_subgraph(T: Triangulation, p: int, r: int) -> CanonicalSubgraph:
     if not T.is_edge(p, r):
         raise ValueError(f"({p},{r}) is not a triangulation edge")
     (b,) = canonical_subgraphs(T, np.array([p]), np.array([r]))
-    kept, edges, nbr = int(b.kept[0]), int(b.edges[0]), T._nbr
+    s = b.canonical[: b.edges[0]]
     return CanonicalSubgraph(
         apex=p, anchor=r, cone=int(b.cone[0]),
-        vertices=tuple(b.members[:kept].tolist()),
-        edges=tuple((nbr[s], nbr[s + 1]) for s in b.canonical[:edges].tolist()),
+        vertices=tuple(b.members[: b.kept[0]].tolist()),
+        edges=tuple(zip(T._nbr[s].tolist(), T._nbr[s + 1].tolist())),
     )
 
 
@@ -500,23 +486,48 @@ def _ragged(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) + (lo - first)[owner]
 
 
-def cones_of(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``cone_of`` for arrays of pairs of ids below n: the cone of p[k]
-    holding q[k], or -1 where q[k] is not a neighbour of p[k].  The edge is
-    found by its key, and a pair given as (high, low) takes the opposite of
-    the edge's cone.  The keys are searched in sorted order, which keeps
-    the search in cache, and the answers scattered back to the pairs."""
-    # an int64 n keeps the keys of C int ids from wrapping
-    n, keys = np.int64(len(T.points)), T._keys
-    key = np.minimum(p, q) * n + np.maximum(p, q)
+def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The index of each entry of ``key`` in the sorted array ``keys``, or -1
+    where it is absent: the one key lookup.  The needles are searched in
+    sorted order, which keeps the search in cache, and the answers scattered
+    back."""
     order = np.argsort(key)
     ranked = key[order]
     at = np.searchsorted(keys, ranked)
     hit = np.flatnonzero(at < len(keys))
     hit = hit[keys[at[hit]] == ranked[hit]]
-    out = np.full(len(key), -1, dtype=np.int8)
-    k = order[hit]
-    out[k] = (T._cone[at[hit]] + 3 * (p[k] > q[k])) % 6
+    out = np.full(len(key), -1, dtype=np.intp)
+    out[order[hit]] = at[hit]
+    return out
+
+
+def _edge_index(T: Triangulation, p, q) -> tuple[np.ndarray, ...]:
+    """The pairs k of (p[k], q[k]), ids below n, that are edges, with the
+    index e of each one's key and whether it is given as (high, low)."""
+    # an int64 n keeps the keys of C int ids from wrapping
+    n = np.int64(len(T.points))
+    e = _find(T._keys, np.minimum(p, q) * n + np.maximum(p, q))
+    k = np.flatnonzero(e >= 0)
+    return k, e[k], p[k] > q[k]
+
+
+def cones_of(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``cone_of`` for arrays of pairs of ids below n: the cone of p[k]
+    holding q[k], or -1 where q[k] is not a neighbour of p[k].  The edge is
+    found by its key, and a pair given as (high, low) takes the opposite of
+    the edge's cone."""
+    k, e, high = _edge_index(T, p, q)
+    out = np.full(len(p), -1, dtype=np.int8)
+    out[k] = (T._cone[e] + 3 * high) % 6
+    return out
+
+
+def _slots(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The cone-table slot of each half-edge (p[k], q[k]) of ids below n, or
+    -1 where it is no edge."""
+    k, e, high = _edge_index(T, p, q)
+    out = np.full(len(p), -1, dtype=np.intp)
+    out[k] = T._at[e + len(T._keys) * high]
     return out
 
 
@@ -560,11 +571,8 @@ def canonical_subgraphs(
     its bisector length, the float that ``bisector_in_cone`` computes, is at
     least the anchor's, or when it is the anchor itself; a canonical edge
     survives when both ends are kept."""
-    nbr = np.frombuffer(T._nbr, dtype=np.intc)
-    start = np.frombuffer(T._start, dtype=np.intc)
-    canon = np.frombuffer(T._canon, dtype=np.bool_)
+    nbr, start, canon = T._nbr, T._start, T._canon
     xs, ys = T.points.xs, T.points.ys
-    ux, uy = np.array(CONE_BISECTORS).T
     step = _SCAN_BLOCK // 2
     for k in range(0, len(u), step):
         a, b = u[k : k + step], v[k : k + step]
@@ -581,8 +589,8 @@ def canonical_subgraphs(
         w, c = nbr[slot], cone[owner]
         px, py = xs[p], ys[p]
         with np.errstate(all="ignore"):
-            length = (xs[w] - px[owner]) * ux[c] + (ys[w] - py[owner]) * uy[c]
-            threshold = (xs[r] - px) * ux[cone] + (ys[r] - py) * uy[cone]
+            length = _bisector_lengths(xs[w] - px[owner], ys[w] - py[owner], c)
+            threshold = _bisector_lengths(xs[r] - px, ys[r] - py, cone)
         keep = (length >= threshold[owner]) | (w == r[owner])
         # a group's last slot is never canonical, so no edge joins two groups
         survive = keep & canon[slot]
@@ -606,7 +614,7 @@ def extremal_ends(T: Triangulation, b: SubgraphBlock, rows: np.ndarray) -> list:
     """The last edge (y, z) of each subgraph ``rows`` of b, which must have
     edges, and then its first edge reversed: each as arrays y and z and the
     cone j of z holding y."""
-    nbr = np.frombuffer(T._nbr, dtype=np.intc)
+    nbr = T._nbr
     last, first = b.last_edge[rows], b.first_edge[rows]
     ends = [(nbr[last], nbr[last + 1]), (nbr[first + 1], nbr[first])]
     return [(y, z, cones_of(T, z, y)) for y, z in ends]

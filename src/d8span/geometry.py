@@ -36,6 +36,9 @@ CONE_BISECTORS = (
     (-SQRT3 / 2, -0.5),
     (-SQRT3 / 2, 0.5),
 )
+#: The bisectors' x and y components, two read-only rows of six.
+_BISECTORS = np.array(CONE_BISECTORS).T.copy()
+_BISECTORS.flags.writeable = False
 
 
 class DegeneratePairError(ValueError):
@@ -338,6 +341,13 @@ def bisector_in_cone(dx: float, dy: float, i: int) -> float:
     """Bisector length of direction (dx, dy), known to lie in cone i."""
     ux, uy = CONE_BISECTORS[i]
     return dx * ux + dy * uy
+
+
+def _bisector_lengths(dx: np.ndarray, dy: np.ndarray, cone: np.ndarray) -> np.ndarray:
+    """``bisector_in_cone`` of each (dx[k], dy[k]) in cone[k]: the same float
+    operations, on arrays."""
+    ux, uy = _BISECTORS
+    return dx * ux[cone] + dy * uy[cone]
 
 
 def euclid(p, q) -> float:

@@ -20,7 +20,6 @@ from d8span.analysis import (
     audit_extremal_cone,
     audit_shared_triangles,
     audit_wedge_angles,
-    canonical_bound,
     degree_audit,
     distance_matrix,
     lemma_audits,
@@ -31,12 +30,12 @@ from d8span.analysis import (
 )
 from d8span.builder import construct_d8
 from d8span.delaunay import build_dt
-from d8span.geometry import euclid
+from d8span.geometry import cone_index, euclid
 from d8span.pointio import RunConfig, generate
 from d8span.report import report_json
 
 import test_analysis as controls
-from oracles import crossings, dt_oracle
+from oracles import crossings, dt_oracle, reference_canonical_bound
 
 TOL = BOUND_RTOL  # 1e-9, the spec's tolerance for all bound assertions
 
@@ -271,7 +270,9 @@ def test_criterion_8_witness_paths(capsys):
             assert w.vertices[0] == u and w.vertices[-1] == v
             assert all(sel.has_d8_edge(a, b) for a, b in zip(w.vertices, w.vertices[1:]))
             assert w.length >= d8[u, v] - 1e-9 * max(1.0, w.length)
-            assert w.length <= canonical_bound(ps, u, v) * (1 + TOL)
+            p, q = ps[u], ps[v]
+            bound = reference_canonical_bound(p.x, p.y, q.x, q.y, cone_index(p, q))
+            assert w.length <= bound * (1 + TOL)
             checked += 1
     emit(
         capsys,

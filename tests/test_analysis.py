@@ -40,7 +40,6 @@ from d8span.analysis import (
     audit_extremal_cone,
     audit_shared_triangles,
     audit_wedge_angles,
-    canonical_bound,
     degree_audit,
     distance_matrix,
     lemma_audits,
@@ -686,8 +685,9 @@ def test_canonical_bound_symmetric_on_bisector():
     # q straight up from p: the triangle corners are mirror images
     ps = PointSet.from_pairs([(0, 0), (0.001, 4), (3, 1.2), (-3.1, 1.3)])
     T, sel = construct_d8(ps)
-    b = canonical_bound(ps, 0, 1)
-    d = euclid(ps[0], ps[1])
+    p, q = ps[0], ps[1]
+    b = reference_canonical_bound(p.x, p.y, q.x, q.y, cone_index(p, q))
+    d = euclid(p, q)
     assert b <= STRETCH_BOUND * d * (1 + BOUND_RTOL)
 
 
@@ -696,8 +696,9 @@ def test_canonical_bound_below_euclid_bound_everywhere():
         ps = random_points(seed + 900, 40)
         T = build_dt(ps)
         for u, v in T.edges:
-            cb = canonical_bound(ps, u, v)
-            eb = STRETCH_BOUND * euclid(ps[u], ps[v])
+            p, q = ps[u], ps[v]
+            cb = reference_canonical_bound(p.x, p.y, q.x, q.y, cone_index(p, q))
+            eb = STRETCH_BOUND * euclid(p, q)
             assert cb <= eb * (1 + BOUND_RTOL)
 
 
@@ -714,7 +715,8 @@ def _check_all_witnesses(ps, T, sel):
         for a, b in zip(w.vertices, w.vertices[1:]):
             assert sel.has_d8_edge(a, b)
         assert w.length >= d8[u, v] - 1e-9 * max(w.length, 1.0)
-        cb = canonical_bound(ps, u, v)
+        p, q = ps[u], ps[v]
+        cb = reference_canonical_bound(p.x, p.y, q.x, q.y, cone_index(p, q))
         assert w.length <= cb * (1 + BOUND_RTOL)
         traces.add(w.trace[0])
     return traces

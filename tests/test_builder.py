@@ -188,11 +188,12 @@ def test_add_incident_takes_triangulation_keys():
     T = build_dt(random_points(5, 200))
     L = sort_edges(T)
     n = len(T.points)
-    ends = add_incident(T, L).ends
-    key = ends[:, 0] * n + ends[:, 1]
+    got = add_incident(T, L)
+    key = got.u * n + got.v
     assert len(key) and np.isin(key, T._keys).all()
     taken = np.isin(L.u * n + L.v, key)
-    assert np.array_equal(ends, np.stack([L.u[taken], L.v[taken]], axis=1))
+    for a, b in zip(got[:3], (L.u, L.v, L.cone)):
+        assert np.array_equal(a, b[taken])
     u, v = select_edges(T).edge_arrays[0]
     assert np.array_equal(u * n + v, np.sort(key))
 
@@ -246,11 +247,11 @@ def test_add_canonical_matches_select_edges():
     # the scalar entry point, edge by edge in sorted order, adds what the
     # array completion adds, in the same order
     T = build_dt(random_points(5, 150))
-    e_a, occupant = add_incident(T, sort_edges(T))
+    got = add_incident(T, sort_edges(T))
     provenance: dict = {}
-    for p, q in e_a:
+    for p, q in got.edges:
         for apex, anchor in ((p, q), (q, p)):
-            for edge, prov in add_canonical(T, occupant, apex, anchor):
+            for edge, prov in add_canonical(T, got.occupant, apex, anchor):
                 provenance.setdefault(edge, []).append(prov)
     assert list(provenance.items()) == list(select_edges(T).provenance.items())
 
@@ -264,9 +265,9 @@ def test_step_4c_failure_names_the_subgraph():
     k = int(np.flatnonzero(e.step == 4)[0])
     p, r, z, j = (int(x[k]) for x in (e.apex, e.anchor, e.end, e.cone))
     lo, hi = T._start[6 * z + j], T._start[6 * z + j + 1]
-    canon = bytearray(T._canon)
-    canon[lo:hi] = bytes(hi - lo)
-    object.__setattr__(T, "_canon", bytes(canon))
+    canon = T._canon.copy()
+    canon[lo:hi] = False
+    object.__setattr__(T, "_canon", canon)
     message = (
         rf"canonical edge of {z} with endpoint \d+ in cone {j}; found \[\] "
         rf"\(apex {p}, anchor {r}, subgraph \("

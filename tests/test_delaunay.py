@@ -394,7 +394,7 @@ def _without_a_side():
 def _repeated_triangle():
     T = build_dt(random_points(11, 60))
     hand = triangulation_from_triangles(T.points, T.triangles + T.triangles[:1])
-    assert hand._canon == T._canon
+    assert np.array_equal(hand._canon, T._canon)
     return hand
 
 
@@ -405,7 +405,8 @@ def _unsorted_rows():
     hand = triangulation_from_triangles(
         T.points, [(a, c, b) for a, b, c in T.triangles]
     )
-    assert np.array_equal(hand._tri, T._tri) and hand._canon == T._canon
+    assert np.array_equal(hand._tri, T._tri)
+    assert np.array_equal(hand._canon, T._canon)
     return hand
 
 
@@ -630,12 +631,13 @@ def test_hand_built_triangulation_matches_arrays(n):
         assert np.array_equal(a._keys, T._keys)
         assert np.array_equal(a._cone, T._cone)
         assert np.array_equal(a._tri, T._tri)
-        assert (a._nbr, a._start, a._canon) == (T._nbr, T._start, T._canon)
+        for name in ("_nbr", "_start", "_at", "_canon"):
+            assert np.array_equal(getattr(a, name), getattr(T, name))
         assert a.edges == T.edges and a.triangles == T.triangles
         assert a._by_key == sorted(T.edges)
         assert all(type(x) is int for e in a._by_key for x in e)
         assert all(type(x) is int for t in a.triangles for x in t)
-        for x in (a._keys, a._cone, a._tri):
+        for x in (a._keys, a._cone, a._tri, a._nbr, a._start, a._at, a._canon):
             with pytest.raises(ValueError):
                 x[...] = 0
 

@@ -11,6 +11,14 @@ change, and say why in CHANGES.md.
 negative controls of ``tests/test_analysis.py`` and its random selection, on
 which three lemmas fail at two different edges.  They pin each lemma's first
 counterexample.
+
+``HAND_BUILT`` pins the report, with and without stretch, and the witness
+paths of inputs no construction makes: an E_A pair written high end first,
+two E_A edges in one (vertex, cone), an E_CAN pair outside the
+triangulation, and a triangulation handed over in shuffled, unsorted rows.
+A witness path that raises is pinned by its error.  The two E_A edges in one
+(vertex, cone) and the shuffled rows read the construction's own digests: no
+audit yet checks E_A cone by cone.
 """
 
 import hashlib
@@ -18,9 +26,11 @@ import hashlib
 import pytest
 
 import test_analysis
+from conftest import random_points
 from d8span.analysis import run_audits, witness_path
-from d8span.builder import construct_d8
+from d8span.builder import EdgeSelection, construct_d8, select_edges
 from d8span.cli import _serialize_edges
+from d8span.delaunay import ConstructionError, build_dt, triangulation_from_triangles
 from d8span.pointio import RunConfig, generate
 from d8span.report import report_json
 
@@ -105,8 +115,67 @@ FAILING = {
 }
 
 
+def _high_low():
+    T, sel = construct_d8(random_points(11, 60))
+    u, v = sorted(sel.e_a)[0]
+    return T, EdgeSelection(e_a=sel.e_a - {(u, v)} | {(v, u)}, e_can=sel.e_can)
+
+
+def _non_dt_can():
+    T, sel = construct_d8(random_points(11, 60))
+    far = next((0, v) for v in range(1, 60) if not T.is_edge(0, v))
+    return T, EdgeSelection(e_a=sel.e_a, e_can=sel.e_can | {far})
+
+
+def _unsorted_rows():
+    ps = random_points(11, 60)
+    rows = [(c, a, b) for a, b, c in reversed(build_dt(ps).triangles)]
+    T = triangulation_from_triangles(ps, rows)
+    return T, select_edges(T)
+
+
+HAND_BUILT = {
+    "high_low": (
+        _high_low,
+        "123e30239572d50ce1cf2c9e239c71ef255fbc6e9c8603bdfb5c22acb061d77f",
+        "d131ccce6ed2b5d6ed40834e7548f55c9f83b478e1aad220caca74fa1307603a",
+        "ebe7a82f5a9d002d05b25ae27ed20494e874f8b0fd2f3680fed65a07a2d5801d",
+    ),
+    "non_dt_can": (
+        _non_dt_can,
+        "7cc11d1e0a028e59c18f4253b108ea4093e39d69c0c11e8e3cbfd4dc463dbeb6",
+        "da6a2305dd8aa61369996f11c9e0960fbf5d73f226dd91eb6a82bb0fab7424b9",
+        "f38f61dc9104297704d5af8372b19168107407a086b8c3b6e2c68866d3139acb",
+    ),
+    "two_in_one_cone": (
+        test_analysis.two_in_one_cone_fixture,
+        "3f56e48400f5aaa341b3bda591d4beac5a9e20cbdeb9b9ac44f48df0d410593f",
+        "fbc3a45d02c0bcdfe681242f6bc6f8b46a2c26df57f9905edd3ab81418021281",
+        "f38f61dc9104297704d5af8372b19168107407a086b8c3b6e2c68866d3139acb",
+    ),
+    "unsorted_rows": (
+        _unsorted_rows,
+        "3f56e48400f5aaa341b3bda591d4beac5a9e20cbdeb9b9ac44f48df0d410593f",
+        "fbc3a45d02c0bcdfe681242f6bc6f8b46a2c26df57f9905edd3ab81418021281",
+        "f38f61dc9104297704d5af8372b19168107407a086b8c3b6e2c68866d3139acb",
+    ),
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _witnesses(T, sel) -> str:
+    out = ""
+    for u, v in sorted(T.edges):
+        try:
+            w = witness_path(T, sel, u, v)
+        except (ConstructionError, ValueError) as exc:
+            out += f"{u} {v}: {type(exc).__name__}: {exc}\n"
+        else:
+            out += f"{u} {v}: {w.vertices} {w.length!r} {w.trace}\n"
+    return out
 
 
 def digests(dist: str, n: int, seed: int) -> tuple[str, ...]:
@@ -151,6 +220,21 @@ def test_golden_failing_report(name):
     assert failing_digest(name) == FAILING[name][1]
 
 
+def hand_built_digests(name: str) -> tuple[str, ...]:
+    """(report, report with stretch, witness paths) digests."""
+    T, sel = HAND_BUILT[name][0]()
+    return (
+        _sha(report_json(run_audits(T, sel, with_stretch=False))),
+        _sha(report_json(run_audits(T, sel))),
+        _sha(_witnesses(T, sel)),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_golden_hand_built(name):
+    assert hand_built_digests(name) == HAND_BUILT[name][1:]
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         print(f"    {case!r}: (")
@@ -159,3 +243,5 @@ if __name__ == "__main__":
         print("    ),")
     for name in sorted(FAILING):
         print(f"    {name!r}: {failing_digest(name)}")
+    for name in sorted(HAND_BUILT):
+        print(f"    {name!r}: {hand_built_digests(name)}")
