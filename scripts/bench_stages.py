@@ -10,9 +10,12 @@ module attributes they are called by.  The completion is ``select_edges``
 minus ``sort_edges`` and ``add_incident``.  The stretch maxima and verdict
 are recorded too, so that runs of two trees can be checked for equal
 figures.  Peak RSS is read after the structural audits and again after the
-stretch audit.  Last, the CLI's ``audit`` (construction, every audit, the
-report) runs on the same points in a child process, for its wall time and
-peak RSS.
+stretch audit.  Then ``witness_path`` runs on the first ``WITNESS_EDGES``
+DT edges in key order, timed directly (it recurses through its module
+binding, so a wrapper would count each recursion again), for its
+microseconds per edge.  Last, the CLI's ``audit`` (construction, every
+audit, the report) runs on the same points in a child process, for its wall
+time and peak RSS.
 
 Writes ``BENCH_<label>.json`` into ``--out`` (default: the current
 directory) and prints it.  Times vary with the machine and its load: compare
@@ -54,6 +57,9 @@ STAGES = {
     ("analysis", "_sweep"): "stretch_sweep",
 }
 
+#: DT edges, the first in key order, whose witness paths are timed.
+WITNESS_EDGES = 2000
+
 
 def peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
     return resource.getrusage(who).ru_maxrss / 1024
@@ -93,6 +99,11 @@ def measure(n: int) -> dict:
     stretch = analysis.stretch_vs_dt(T, sel)
     t4 = clock()
     rss_stretch = peak_rss_mb()
+    u, v = divmod(T._keys[:WITNESS_EDGES], n)
+    w0 = clock()
+    for p, q in zip(u.tolist(), v.tolist()):
+        analysis.witness_path(T, sel, p, q)
+    witness_us = (clock() - w0) / len(u) * 1e6
     out = {
         "generate": t1 - t0,
         "construct_d8": t2 - t1,
@@ -123,6 +134,8 @@ def measure(n: int) -> dict:
     return {
         "n": n,
         "seconds": {k: round(v, 4) for k, v in out.items()},
+        "witness_us_per_edge": round(witness_us, 1),
+        "witness_edges": len(u),
         "cli_audit_s": round(cli_s, 3),
         "stretch": {
             "max_edge_ratio": stretch.max_edge_ratio,

@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .builder import _STEPS, ConstructionError, EdgeSelection, e_a_occupant
+from .builder import _STEPS, ConstructionError, EdgeSelection
 from .delaunay import (
     Triangulation,
     _find,
@@ -27,8 +27,9 @@ from .delaunay import (
     canonical_subgraphs,
     cones_of,
     edge_arrays,
-    edge_key,
     extremal_ends,
+    marked_groups,
+    marked_in,
 )
 from .geometry import (
     _BISECTORS,
@@ -615,12 +616,14 @@ def witness_path(
     i = T.cone_of(p, q)
     o = (i + 3) % 6  # the cone of q holding p
     lpq = _bisector(ps, p, q, i)
-    r = e_a_occupant(T, sel.e_a, p, i)
-    if r is not None and _bisector(ps, p, r, i) <= lpq * (1 + BOUND_RTOL):
-        return _witness_from(T, sel, p, q, r, i, _depth)
-    u = e_a_occupant(T, sel.e_a, q, o)
-    if u is not None and _bisector(ps, q, u, o) <= lpq * (1 + BOUND_RTOL):
-        w = _witness_from(T, sel, q, p, u, o, _depth)
+    # the first E_A edge clockwise in each facing cone
+    e_a, _ = sel.marks(T)
+    r = marked_in(T, e_a, p, i)
+    if r and _bisector(ps, p, r[0], i) <= lpq * (1 + BOUND_RTOL):
+        return _witness_from(T, sel, p, q, r[0], i, _depth)
+    u = marked_in(T, e_a, q, o)
+    if u and _bisector(ps, q, u[0], o) <= lpq * (1 + BOUND_RTOL):
+        w = _witness_from(T, sel, q, p, u[0], o, _depth)
         return WitnessPath(
             p, q, list(reversed(w.vertices)), w.length, w.trace + ["reversed"]
         )
@@ -668,8 +671,8 @@ def _witness_from(T, sel, p, q, r, i, depth) -> WitnessPath:
         return WitnessPath(p, q, verts, _path_length(ps, verts), [f"ideal-end({rel})"])
     inner = 4 if last else 2
     if rel == inner:
-        u2 = e_a_occupant(T, sel.e_a, q, j)
-        if u2 is None or u2 == y:
+        u2 = (marked_in(T, sel.marks(T)[0], q, j) or [y])[0]
+        if u2 == y:
             raise ConstructionError(
                 f"extremal edge ({y},{q}) unselected with no competing "
                 f"incident edge at {q} in cone {j}"
@@ -725,37 +728,6 @@ def _angle(ps, a: int, x: int, b: int) -> float:
     return abs(math.atan2(cross, dot))
 
 
-def _keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Sorted keys u * n + v of the pairs with 0 <= u < v < n: those an
-    ``edge_key`` of two vertices can equal."""
-    return np.sort((u * n + v)[(0 <= u) & (u < v) & (v < n)])
-
-
-def _dt_cones(T, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pairs (u[k], v[k]) that are triangulation edges, either way
-    round, and the cone of u[k] holding v[k]."""
-    n = len(T.points)
-    cone = np.full(len(u), -1, dtype=np.int8)
-    ids = (0 <= u) & (u < n) & (0 <= v) & (v < n)
-    cone[ids] = cones_of(T, u[ids], v[ids])
-    dt = cone >= 0
-    return u[dt], v[dt], cone[dt]
-
-
-def _selected_cones(T, u: np.ndarray, v: np.ndarray, cone: np.ndarray) -> np.ndarray:
-    """Entry 6w + i is true when a selected edge leaves w into cone i; the
-    selection is the triangulation edges (u[k], v[k]) with v[k] in cone[k]
-    of u[k], of which only those with u[k] < v[k] count, as in
-    ``has_d8_edge``."""
-    selected = np.zeros(6 * len(T.points), dtype=bool)
-    low = u < v
-    u, v, cone = u[low], v[low], cone[low]
-    selected[6 * u + cone] = True
-    # negating a direction moves cone_indices to the opposite cone
-    selected[6 * v + (cone + 3) % 6] = True
-    return selected
-
-
 def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
     """The canonical-path, anchor-cone and extremal-cone verdicts, from the
     canonical subgraph of each oriented E_A edge, computed once as arrays by
@@ -777,12 +749,13 @@ def _subgraph_lemmas(T, sel) -> list[AuditVerdict]:
 
 def _lemma_scan(T, sel, u, v, stop: int) -> dict[str, dict]:
     """The first counterexample of each lemma over the E_A pairs (u[k],
-    v[k]) in turn, by name; the scan ends once ``stop`` lemmas have one."""
-    n = len(T.points)
-    _, (cu, cv) = sel.edge_arrays
-    e_a = _keys(u, v, n)
-    u, v, cone = _dt_cones(T, u, v)
-    selected = _selected_cones(T, u, v, cone) | _selected_cones(T, *_dt_cones(T, cu, cv))
+    v[k]) in turn, by name; the scan ends once ``stop`` lemmas have one.
+    Pairs that are edges either way round are scanned, on the marks."""
+    e_a, d8 = sel.marks(T)
+    selected = marked_groups(T, d8)
+    cone = cones_of(T, u, v)
+    dt = cone >= 0
+    u, v, cone = u[dt], v[dt], cone[dt]
     found: dict[str, dict] = {}
     for b in canonical_subgraphs(T, u, v, cone):
         p, r, i = b.p, b.r, b.cone
@@ -803,18 +776,19 @@ def _lemma_scan(T, sel, u, v, stop: int) -> dict[str, dict]:
                 pk, rk, ik = int(p[k]), int(r[k]), int(i[k])
                 found["anchor_cones"] = {
                     "apex": pk, "anchor": rk, "cone": ik,
-                    "left": _selected_in(T, sel, rk, (ik + 2) % 6),
-                    "right": _selected_in(T, sel, rk, (ik + 4) % 6),
+                    "left": marked_in(T, d8, rk, (ik + 2) % 6),
+                    "right": marked_in(T, d8, rk, (ik + 4) % 6),
                 }
         if "extremal_cone" not in found:
             has = np.flatnonzero(b.edges)
             a, anchor, cone = p[has], r[has], i[has]
             ends = extremal_ends(T, b, has)
-            bad = []
-            for y, z, j in ends:
-                key = np.minimum(a, z) * n + np.maximum(a, z)
-                direct = _find(e_a, key) >= 0
-                bad.append((z != anchor) & ~direct & (j == cone))
+            # the slots of (a, z): z ends the last edge, or starts the first
+            direct = e_a[b.last_edge[has] + 1], e_a[b.first_edge[has]]
+            bad = [
+                (z != anchor) & ~d & (j == cone)
+                for (_, z, j), d in zip(ends, direct)
+            ]
             either = bad[0] | bad[1]
             if either.any():
                 k = int(np.argmax(either))
@@ -826,11 +800,6 @@ def _lemma_scan(T, sel, u, v, stop: int) -> dict[str, dict]:
         if len(found) >= stop:
             break
     return found
-
-
-def _selected_in(T, sel, v: int, i: int) -> list[int]:
-    """The neighbours w of v in cone i with (v, w) selected."""
-    return [w for w in T.cone(v, i) if sel.has_d8_edge(v, w)]
 
 
 def audit_canonical_paths(T, sel) -> AuditVerdict:
@@ -1005,32 +974,27 @@ def audit_charged_cones(T, sel) -> AuditVerdict:
     """Edges recorded as boundary-cone additions (step 4b) must occupy a cone
     of their end vertex that holds no selected incident edge.
 
-    The step 4b events are checked against the cones E_A occupies, as
-    arrays; only a failing selection reads ``sel.provenance``, for its first
-    counterexample."""
+    The step 4b events are checked against the cones E_A occupies, read
+    from the selection's marks, as arrays.  The counterexample is the first
+    failing event in the order of ``sel.provenance``: edges by their first
+    event, then each edge's events in turn."""
     n = len(T.points)
-    (u, v), _ = sel.edge_arrays
-    occupied = _selected_cones(T, *_dt_cones(T, u, v))
+    e_a, _ = sel.marks(T)
     e = sel.events
-    four_b = e.step == _STEP_4B
-    z, cone = e.end[four_b], e.cone[four_b]
-    fine = (0 <= z) & (z < n) & (0 <= cone) & (cone < 6)
-    fine[fine] = ~occupied[6 * z[fine] + cone[fine]]
-    if fine.all():
+    z, cone = e.end, e.cone
+    fails = (e.step == _STEP_4B) & (0 <= z) & (z < n) & (0 <= cone) & (cone < 6)
+    fails[fails] = marked_groups(T, e_a)[6 * z[fails] + cone[fails]]
+    if not fails.any():
         return AuditVerdict("charged_cones", True)
-    for edge, provs in sel.provenance.items():
-        for prov in provs:
-            if prov.step != "4b":
-                continue
-            z, cone = prov.end_vertex, prov.cone
-            occupied = [w for w in T.cone(z, cone) if edge_key(z, w) in sel.e_a]
-            if occupied:
-                return AuditVerdict(
-                    "charged_cones",
-                    False,
-                    {"edge": edge, "end_vertex": z, "cone": cone, "e_a": occupied},
-                )
-    return AuditVerdict("charged_cones", True)
+    # each event's edge ranked by its first event; the least failing rank,
+    # then the first failing event of that edge
+    pairs = np.stack([e.u, e.v], axis=1)
+    _, first, edge = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    k = int(np.argmin(np.where(fails, first[edge.ravel()], len(fails))))
+    z, cone = int(z[k]), int(cone[k])
+    cx = {"edge": (int(e.u[k]), int(e.v[k])), "end_vertex": z, "cone": cone}
+    cx["e_a"] = marked_in(T, e_a, z, cone)
+    return AuditVerdict("charged_cones", False, cx)
 
 
 def lemma_audits(T: Triangulation, sel: EdgeSelection) -> list[AuditVerdict]:

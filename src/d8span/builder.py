@@ -21,6 +21,7 @@ from .delaunay import (
     edge_arrays,
     edge_key,
     extremal_ends,
+    marks,
 )
 from .geometry import PointSet, _bisector_lengths
 
@@ -243,14 +244,17 @@ class EdgeSelection:
                 return True
         return False
 
-
-def e_a_occupant(T: Triangulation, e_a, v: int, cone: int) -> int | None:
-    """The far end of the selected incident edge leaving v into the given
-    cone, if any; the first one clockwise should there be several."""
-    for w in T.cone(v, cone):
-        if edge_key(v, w) in e_a:
-            return w
-    return None
+    def marks(self, T: Triangulation) -> tuple[np.ndarray, np.ndarray]:
+        """E_A's and E_A | E_CAN's ``delaunay.marks`` on T's cone table,
+        read-only; kept for the last T asked, by identity, so that the audits
+        and every witness path share one computation."""
+        kept = self.__dict__.get("_marks")
+        if kept is None or kept[0] is not T:
+            (u, v), (cu, cv) = self.edge_arrays
+            e_a = marks(T, u, v)
+            kept = (T, *_frozen(e_a, e_a | marks(T, cu, cv)))
+            self.__dict__["_marks"] = kept
+        return kept[1:]
 
 
 def add_canonical(

@@ -55,9 +55,10 @@ class Triangulation:
     C ints: group 6p + i is _nbr[_start[6p + i]:_start[6p + i + 1]].
     ``_at`` holds each oriented edge's slot in it: _at[k] of (u, v) of key
     k, _at[len(_keys) + k] of (v, u); ``_slots`` finds them by ``_find``,
-    the one key lookup.  _canon[s] is true for the canonical edge
-    (_nbr[s], _nbr[s + 1]) of its group.  Scalar readers convert with
-    ``tolist``, so no numpy scalar leaves them.
+    the one key lookup, and ``marks`` puts a selection on the slots.
+    _canon[s] is true for the canonical edge (_nbr[s], _nbr[s + 1]) of its
+    group.  Scalar readers convert with ``tolist``, so no numpy scalar
+    leaves them.
 
     ``Triangulation(points, keys, tri)`` takes the sorted keys and the
     sorted triples and builds the cone table; ``triangulation_from_triangles``
@@ -489,33 +490,36 @@ def _ragged(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     """The index of each entry of ``key`` in the sorted array ``keys``, or -1
     where it is absent: the one key lookup.  The needles are searched in
-    sorted order, which keeps the search in cache, and the answers scattered
-    back."""
-    order = np.argsort(key)
-    ranked = key[order]
-    at = np.searchsorted(keys, ranked)
+    sorted order, which keeps the search in cache: when they come unsorted
+    they are sorted first and the answers scattered back."""
+    order = None
+    if (key[1:] < key[:-1]).any():
+        order = np.argsort(key)
+        key = key[order]
+    at = np.searchsorted(keys, key)
     hit = np.flatnonzero(at < len(keys))
-    hit = hit[keys[at[hit]] == ranked[hit]]
+    hit = hit[keys[at[hit]] == key[hit]]
     out = np.full(len(key), -1, dtype=np.intp)
-    out[order[hit]] = at[hit]
+    out[hit if order is None else order[hit]] = at[hit]
     return out
 
 
 def _edge_index(T: Triangulation, p, q) -> tuple[np.ndarray, ...]:
-    """The pairs k of (p[k], q[k]), ids below n, that are edges, with the
-    index e of each one's key and whether it is given as (high, low)."""
+    """The pairs k of (p[k], q[k]) that are edges, with the index e of each
+    one's key and whether it is given as (high, low).  A pair with an id
+    outside [0, n) is no edge, though its key may equal an edge's."""
     # an int64 n keeps the keys of C int ids from wrapping
     n = np.int64(len(T.points))
-    e = _find(T._keys, np.minimum(p, q) * n + np.maximum(p, q))
-    k = np.flatnonzero(e >= 0)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    e = _find(T._keys, lo * n + hi)
+    k = np.flatnonzero((e >= 0) & (lo >= 0) & (hi < n))
     return k, e[k], p[k] > q[k]
 
 
 def cones_of(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``cone_of`` for arrays of pairs of ids below n: the cone of p[k]
-    holding q[k], or -1 where q[k] is not a neighbour of p[k].  The edge is
-    found by its key, and a pair given as (high, low) takes the opposite of
-    the edge's cone."""
+    """``cone_of`` for arrays of pairs: the cone of p[k] holding q[k], or -1
+    where q[k] is not a neighbour of p[k].  The edge is found by its key,
+    and a pair given as (high, low) takes the opposite of the edge's cone."""
     k, e, high = _edge_index(T, p, q)
     out = np.full(len(p), -1, dtype=np.int8)
     out[k] = (T._cone[e] + 3 * high) % 6
@@ -523,12 +527,36 @@ def cones_of(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _slots(T: Triangulation, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The cone-table slot of each half-edge (p[k], q[k]) of ids below n, or
-    -1 where it is no edge."""
+    """The cone-table slot of each half-edge (p[k], q[k]), or -1 where it is
+    no edge."""
     k, e, high = _edge_index(T, p, q)
     out = np.full(len(p), -1, dtype=np.intp)
     out[k] = T._at[e + len(T._keys) * high]
     return out
+
+
+def marks(T: Triangulation, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A selection on the cone table: true at the slots of both half-edges
+    of each pair (u[k], v[k]), u[k] < v[k], that is an edge.  A pair given
+    as (high, low), or that is no edge, marks nothing, as in
+    ``EdgeSelection.has_d8_edge``."""
+    mark = np.zeros(len(T._nbr), dtype=bool)
+    low = u < v
+    _, e, _ = _edge_index(T, u[low], v[low])
+    mark[T._at[e]] = mark[T._at[e + len(T._keys)]] = True
+    return mark
+
+
+def marked_groups(T: Triangulation, mark: np.ndarray) -> np.ndarray:
+    """Entry 6p + i is true when a marked slot lies in group 6p + i."""
+    count = np.concatenate([[0], np.cumsum(mark)])
+    return count[T._start[1:]] > count[T._start[:-1]]
+
+
+def marked_in(T: Triangulation, mark: np.ndarray, p: int, i: int) -> list[int]:
+    """The marked neighbours of p in cone i, in clockwise order."""
+    lo, hi = T._start[6 * p + i : 6 * p + i + 2].tolist()
+    return T._nbr[lo:hi][mark[lo:hi]].tolist()
 
 
 class SubgraphBlock(NamedTuple):

@@ -16,7 +16,10 @@ tuples.  ``shared_triangles`` is the shared-triangle audit as a scan of the
 triangles that classifies each corner's cones itself.
 ``reference_canonical_bound`` is one pair's canonical bound as it ran before
 the stretch audit moved to arrays, on Python floats, from the triangle
-corners of ``canonical_corners``.
+corners of ``canonical_corners``.  ``e_a_occupant`` is a cone's E_A edge and
+``reference_charged_cones`` the charged-cones audit as they ran before the
+selection's marks: a scan of the cone against the set of E_A pairs, and a
+scan of ``sel.provenance``.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from d8span.analysis import PATH_FACTOR, AuditVerdict, _angle
-from d8span.builder import Provenance, e_a_occupant
+from d8span.builder import Provenance
 from d8span.delaunay import (
     CanonicalSubgraph,
     ConstructionError,
@@ -329,6 +332,34 @@ def _reference_canonical(T, e_a, p: int, r: int) -> list:
         _reference_extremal(T, e_a, can, i, last=True, out=out)
         _reference_extremal(T, e_a, can, i, last=False, out=out)
     return out
+
+
+def e_a_occupant(T, e_a, v: int, cone: int) -> int | None:
+    """The far end of the E_A edge leaving v into the given cone, if any;
+    the first one clockwise should there be several.  ``e_a`` is a set of
+    pairs, each looked up low end first."""
+    for w in T.cone(v, cone):
+        if edge_key(v, w) in e_a:
+            return w
+    return None
+
+
+def reference_charged_cones(T, sel) -> AuditVerdict:
+    """The charged-cones audit: the first step 4b event of
+    ``sel.provenance`` whose cone of its end vertex holds an E_A edge."""
+    for edge, provs in sel.provenance.items():
+        for prov in provs:
+            if prov.step != "4b":
+                continue
+            z, cone = prov.end_vertex, prov.cone
+            occupied = [w for w in T.cone(z, cone) if edge_key(z, w) in sel.e_a]
+            if occupied:
+                return AuditVerdict(
+                    "charged_cones",
+                    False,
+                    {"edge": edge, "end_vertex": z, "cone": cone, "e_a": occupied},
+                )
+    return AuditVerdict("charged_cones", True)
 
 
 def _reference_extremal(T, e_a, can, i: int, *, last: bool, out) -> None:

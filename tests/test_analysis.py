@@ -19,6 +19,7 @@ from conftest import arc_fan, random_points
 from oracles import (
     crossings,
     reference_canonical_bound,
+    reference_charged_cones,
     reference_degree_audit,
     reference_subgraph_audit,
     reference_subgraph_lemmas,
@@ -26,7 +27,7 @@ from oracles import (
     shared_triangles,
     wedge_angles,
 )
-from d8span import analysis, cli, delaunay
+from d8span import analysis, builder, cli, delaunay
 from d8span.analysis import (
     BOUND_RTOL,
     DT_STRETCH,
@@ -136,13 +137,25 @@ def test_selection_is_frozen_and_converts_once(small_instance):
 
 
 def test_pipeline_builds_no_views(monkeypatch, tmp_path):
-    # construction, every audit, the report and the CLI's stretch command run
-    # on the arrays
+    # construction, every audit, the report, the witness path of every DT
+    # edge and the CLI's stretch command run on the arrays; the audits and
+    # the witness paths share one computation of the selection's marks
     ps = generate(RunConfig(n=300, seed=3))
     T, sel = construct_d8(ps)
+    marked = []
+
+    def marks(T, u, v):
+        marked.append(len(u))
+        return delaunay.marks(T, u, v)
+
+    monkeypatch.setattr(builder, "marks", marks)
     report_json(run_audits(T, sel, with_stretch=False))
     report = run_audits(T, sel, with_stretch=True)
     report_json(report)
+    for u, v in zip(*(c.tolist() for c in np.divmod(T._keys, len(ps)))):
+        witness_path(T, sel, u, v)
+    # one computation: E_A's marks, then E_CAN's
+    assert marked == [len(c[0]) for c in sel.edge_arrays]
     assert not {"edges", "triangles", "_by_key"} & set(vars(T))
     assert not {"e_a", "e_can", "d8_edges", "provenance"} & set(vars(sel))
     reports = []
@@ -1181,6 +1194,26 @@ def test_charged_cone_negative_control(small_instance):
         (s, t): [Provenance("4b", apex=q, anchor=p, end_vertex=p, cone=j)]
     }
     assert not audit_charged_cones(T, bad).passed
+
+
+def test_charged_cones_counterexample_matches_reference(small_instance):
+    # failing step 4b events appended for an edge with no earlier event and
+    # then for the edge of the first event: the counterexample is the first
+    # in provenance order, which is the second of them
+    ps, T, sel = small_instance
+    e = sel.events
+    assert audit_charged_cones(T, sel) == reference_charged_cones(T, sel)
+    (p, q), (s, t) = sorted(sel.e_a)[0], (int(e.u[0]), int(e.v[0]))
+    j = T.cone_of(p, q)
+    fresh = next(x for x in sorted(T.edges) if x not in sel.provenance)
+    step = _STEPS.index("4b")
+    extra = [(*fresh, step, q, p, p, j), (s, t, step, q, p, p, j)]
+    events = Events(*(np.append(c, x) for c, x in zip(e, zip(*extra))))
+    bad = EdgeSelection._from_arrays(*sel.edge_arrays, events)
+    got = audit_charged_cones(T, bad)
+    assert repr(got) == repr(reference_charged_cones(T, bad))
+    assert got.counterexample["edge"] == (s, t)
+    assert got.counterexample["e_a"] == [w for w in T.cone(p, j) if edge_key(p, w) in sel.e_a]
 
 
 def test_run_audits_report(small_instance):

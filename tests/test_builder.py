@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import test_analysis
+import test_golden
 from conftest import arc_fan, converging_rows, random_points
-from oracles import reference_incident, reference_selection, reference_sort
+from oracles import e_a_occupant, reference_incident, reference_selection, reference_sort
 from d8span import builder, delaunay
 from d8span.builder import (
     add_canonical,
@@ -18,6 +20,9 @@ from d8span.delaunay import (
     build_dt,
     canonical_subgraph,
     edge_key,
+    marked_groups,
+    marked_in,
+    triangulation_from_triangles,
 )
 from d8span.geometry import PointSet, bisector_distance, cone_index
 from d8span.pointio import RunConfig, generate
@@ -412,3 +417,46 @@ def test_reflection_and_reordering_keep_selection(distribution, sx, sy, shuffle)
     back = perm.tolist()
     for mapped, original in ((got.e_a, sel.e_a), (got.e_can, sel.e_can)):
         assert {edge_key(back[u], back[v]) for u, v in mapped} == original
+
+
+_MARK_CASES = {
+    "uniform-80": lambda: construct_d8(random_points(5, 80)),
+    "annulus-200": lambda: construct_d8(
+        generate(RunConfig(n=200, seed=2, distribution="annulus"))
+    ),
+    "reversed-pairs": test_analysis._selection_with_reversed_pairs,
+    **{name: make for name, (make, *_) in test_golden.HAND_BUILT.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MARK_CASES))
+def test_marks_match_scalar_references(name):
+    # every (vertex, cone): the first E_A mark clockwise is the scalar
+    # occupant, and the E_A | E_CAN marks are the cone's selected neighbours,
+    # pairs looked up low end first as in has_d8_edge
+    T, sel = _MARK_CASES[name]()
+    e_a, d8 = sel.marks(T)
+    groups = marked_groups(T, d8)
+    for v in range(len(T.points)):
+        for i in range(6):
+            cone = T.cone(v, i)
+            first = marked_in(T, e_a, v, i)
+            assert first == [w for w in cone if edge_key(v, w) in sel.e_a]
+            assert (first[0] if first else None) == e_a_occupant(T, sel.e_a, v, i)
+            selected = marked_in(T, d8, v, i)
+            assert selected == [w for w in cone if sel.has_d8_edge(v, w)]
+            assert all(type(w) is int for w in selected)
+            assert groups[6 * v + i] == bool(selected)
+
+
+def test_marks_are_kept_for_the_last_triangulation():
+    T, sel = construct_d8(random_points(5, 80))
+    e_a, d8 = sel.marks(T)
+    assert all(a is b for a, b in zip(sel.marks(T), (e_a, d8)))
+    with pytest.raises(ValueError):
+        e_a[0] = True
+    # an equal triangulation is another one: its marks are computed anew
+    other = triangulation_from_triangles(T.points, T._tri)
+    again = sel.marks(other)
+    assert again[0] is not e_a
+    assert all(np.array_equal(a, b) for a, b in zip(again, (e_a, d8)))

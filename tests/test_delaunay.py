@@ -595,6 +595,19 @@ def test_cones_of_int32_ids_past_int32_keys():
     assert cones_of(T, p, q).tolist() == ring and ring[-1] == -1
 
 
+def test_out_of_range_ids_match_no_edge():
+    # (0, 78) and (-1, 138) have the key 1 * 60 + 18 of the edge (1, 18)
+    T = build_dt(generate(RunConfig(60, seed=1)))
+    assert T.is_edge(1, 18)
+    with pytest.raises(ValueError):
+        T.cone_of(0, 78)
+    p, q = np.array([0, 78, -1, 138, 1]), np.array([78, 0, 138, -1, 18])
+    assert cones_of(T, p, q).tolist()[:4] == [-1] * 4
+    assert delaunay._slots(T, p, q).tolist()[:4] == [-1] * 4
+    assert not delaunay.marks(T, p[:4], q[:4]).any()
+    assert delaunay._slots(T, p, q)[4] >= 0
+
+
 def test_cones_of_shuffled_pairs_match_cone_of():
     # the keys are searched in sorted order and the answers scattered back:
     # pairs in random order, misses and both orientations included
